@@ -13,16 +13,18 @@ from .analysis import (
     DecisionOutcome,
     EffectSizeDraws,
     HpdInterval,
+    PosteriorSummary,
     RopePartition,
     alpha_decision,
     classify_error,
     cohen_partition,
     delta_mpe,
-    effect_size_range,
     effect_size_series,
+    hpd_decision,
     hpd_interval,
     pmp,
     posterior_mode,
+    summarize,
 )
 from .distributions import (
     RngState,
@@ -67,6 +69,7 @@ __all__ = [
     "MixtureDraw",
     "MixttError",
     "PosteriorChain",
+    "PosteriorSummary",
     "PriorPreset",
     "RngState",
     "RopePartition",
@@ -81,10 +84,10 @@ __all__ = [
     "compute_sufficient_stats",
     "delta_mpe",
     "derive_seed",
-    "effect_size_range",
     "effect_size_series",
     "generate_dataset",
     "gibbs_sweep",
+    "hpd_decision",
     "hpd_interval",
     "pmp",
     "pooled_sd",
@@ -96,6 +99,7 @@ __all__ = [
     "sample_gamma",
     "sample_inverse_gamma",
     "sample_normal",
+    "summarize",
     "scenario_params",
     "student_t_cdf",
     "welch_t_test",

@@ -2,7 +2,9 @@
 
 Everything here operates on the draws produced by :mod:`mixtt.gibbs`. The
 functions are pure and accept either an :class:`EffectSizeDraws` or any
-one-dimensional array of draws where that is convenient.
+one-dimensional array of draws where that is convenient. :func:`summarize`
+computes the summaries every command reports, and :func:`hpd_decision`
+turns its HPD interval into a decision.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ class EffectSizeDraws:
     """Posterior draws of the standardized mean difference."""
 
     deltas: np.ndarray
-    n1: int
-    n2: int
 
     def __post_init__(self):
         d = np.asarray(self.deltas, dtype=float)
@@ -122,7 +122,7 @@ def effect_size_series(chain: PosteriorChain, direction: str = "g1-g2") -> Effec
     deltas = (chain.mu1 - chain.mu2) / s
     if direction == "g2-g1":
         deltas = -deltas
-    return EffectSizeDraws(deltas, n1, n2)
+    return EffectSizeDraws(deltas)
 
 
 def delta_mpe(draws) -> float:
@@ -193,12 +193,6 @@ def hpd_interval(draws, level: float) -> HpdInterval:
     return HpdInterval(level=level, lower=float(d[j]), upper=float(d[j + w - 1]))
 
 
-def effect_size_range(draws, level: float) -> tuple[float, float]:
-    """Bounds of the level-HPD interval: the span of credible effect sizes."""
-    interval = hpd_interval(draws, level)
-    return interval.lower, interval.upper
-
-
 def cohen_partition() -> RopePartition:
     """Conventional effect-size categories as a partition of the real line.
 
@@ -227,10 +221,7 @@ def pmp(draws, partition: RopePartition) -> tuple[str, float]:
     """
     d = _as_deltas(draws)
     label = partition.locate(delta_mpe(d))
-    for cell_label, lo, hi in partition.cells:
-        if cell_label == label:
-            return label, int(np.count_nonzero((d >= lo) & (d < hi))) / d.size
-    raise AssertionError("unreachable: located label is a cell label")
+    return label, partition.cell_masses(d)[label]
 
 
 def normalize_rope(rope) -> tuple[tuple[float, float], ...]:
@@ -246,24 +237,48 @@ def normalize_rope(rope) -> tuple[tuple[float, float], ...]:
     return tuple(sorted(out))
 
 
-def alpha_decision(draws, rope, alpha: float, strict: bool = False) -> DecisionOutcome:
-    """Decide a region hypothesis from the alpha-level HPD interval.
+def hpd_decision(interval: HpdInterval, rope, strict: bool = False) -> DecisionOutcome:
+    """Decide a region hypothesis from an HPD interval.
 
-    ``accepted`` if the HPD lies inside one rope interval, ``rejected`` if it
-    intersects none of them, ``indeterminate`` otherwise. Interval endpoints
-    count as belonging to the rope. ``strict=True`` collapses indeterminate
-    into rejected, giving a two-valued accept/reject rule.
+    ``accepted`` if the interval lies inside one rope interval, ``rejected``
+    if it intersects none of them, ``indeterminate`` otherwise. Interval
+    endpoints count as belonging to the rope. ``strict=True`` collapses
+    indeterminate into rejected, giving a two-valued accept/reject rule.
     """
-    interval = hpd_interval(draws, alpha)
     rope = normalize_rope(rope)
-    contained = any(lo <= interval.lower and interval.upper <= hi for lo, hi in rope)
-    if contained:
+    if any(lo <= interval.lower and interval.upper <= hi for lo, hi in rope):
         status = DECISION_ACCEPTED
     elif all(interval.upper < lo or hi < interval.lower for lo, hi in rope):
         status = DECISION_REJECTED
     else:
         status = DECISION_REJECTED if strict else DECISION_INDETERMINATE
-    return DecisionOutcome(status=status, alpha=alpha)
+    return DecisionOutcome(status=status, alpha=interval.level)
+
+
+def alpha_decision(draws, rope, alpha: float, strict: bool = False) -> DecisionOutcome:
+    """:func:`hpd_decision` on the alpha-level HPD interval of ``draws``."""
+    return hpd_decision(hpd_interval(draws, alpha), rope, strict)
+
+
+@dataclass(frozen=True)
+class PosteriorSummary:
+    """The headline summaries of one effect-size posterior.
+
+    Holds scalars only, so summaries compare with ``==`` and keep no draws
+    alive. Decisions follow from ``hpd`` through :func:`hpd_decision`.
+    """
+
+    delta_mpe: float
+    hpd: HpdInterval
+    pmp_label: str
+    pmp_value: float
+
+
+def summarize(draws, alpha: float) -> PosteriorSummary:
+    """Posterior mean, alpha-level HPD and Cohen-partition PMP of the draws."""
+    d = _as_deltas(draws)
+    label, mass = pmp(d, cohen_partition())
+    return PosteriorSummary(delta_mpe(d), hpd_interval(d, alpha), label, mass)
 
 
 def classify_error(

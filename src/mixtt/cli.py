@@ -13,16 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import (
-    alpha_decision,
-    cohen_partition,
-    delta_mpe,
-    effect_size_range,
-    effect_size_series,
-    hpd_interval,
-    pmp,
-    posterior_mode,
-)
+from .analysis import effect_size_series, hpd_decision, posterior_mode, summarize
 from .errors import MixttError
 from .gibbs import ChainConfig, run_chain
 from .harness import SCENARIO_KINDS, Scenario, StudyConfig, prior_sensitivity, run_study
@@ -63,6 +54,9 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--burnin", type=int, default=DEFAULT_BURN_IN, help="sweeps discarded up front")
     p.add_argument("--seed", type=int, required=True, help="master seed; required, no wall-clock fallback")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="credible level for HPD and decisions")
+
+
+def _add_rope_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--rope",
         type=_parse_rope,
@@ -106,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--strict-decision", action="store_true",
                       help="collapse boundary-straddling decisions into rejections")
     _add_chain_flags(p_an)
+    _add_rope_flag(p_an)
     _add_prior_flags(p_an)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study over a built-in scenario")
@@ -114,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--datasets", type=int, required=True, help="number of simulated datasets")
     p_sim.add_argument("--output", required=True, help="where to write the JSON study result")
     _add_chain_flags(p_sim)
+    _add_rope_flag(p_sim)
     p_sim.add_argument("--prior", choices=("wide", "medium", "narrow"), default="wide")
 
     p_sen = sub.add_parser("sensitivity", help="compare prior presets on the same data")
@@ -132,17 +128,11 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     prior = realize_preset(preset, sample)
     chain = run_chain(sample, ChainConfig(args.iters, args.burnin, args.seed, prior))
     deltas = effect_size_series(chain, direction=args.direction)
-    interval = hpd_interval(deltas, args.alpha)
-    label, mass = pmp(deltas, cohen_partition())
-    decision = alpha_decision(deltas, args.rope, args.alpha, strict=args.strict_decision)
+    summary = summarize(deltas, args.alpha)
     report = AnalysisReport(
-        delta_mpe=delta_mpe(deltas),
+        summary=summary,
         delta_mode=posterior_mode(deltas),
-        hpd=interval,
-        esr=effect_size_range(deltas, args.alpha),
-        pmp_label=label,
-        pmp_value=mass,
-        decision=decision,
+        decision=hpd_decision(summary.hpd, args.rope, strict=args.strict_decision),
         welch=welch_t_test(sample),
         iterations=args.iters,
         burn_in=args.burnin,
@@ -158,7 +148,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     )
     write_json(report.to_dict(), args.output)
     if args.plot_data is not None:
-        write_plot_data(deltas, interval, args.plot_data)
+        write_plot_data(deltas, summary.hpd, args.plot_data)
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:

@@ -1,9 +1,12 @@
 """Seedable random variates and distribution functions.
 
 The generator is a self-contained xoshiro256++ (seeded through splitmix64),
-so identical seeds give bit-identical draw sequences on every platform and
-Python/numpy version. Platform-default generators make no such promise,
-and byte-stable output files depend on it.
+so identical seeds give bit-identical 64-bit word sequences on every
+platform and Python/numpy version. Platform-default generators make no such
+promise. The float variates are built from those words with ``math.log``,
+``math.cos`` and ``math.sqrt``, so they are bit-identical across runs on one
+platform (which byte-stable output files rely on) but may differ in the
+last ulp where another platform's libm rounds differently.
 
 Variate algorithms: normal draws use the Box-Muller transform (one value
 per call, nothing cached), gamma draws use the Marsaglia-Tsang squeeze

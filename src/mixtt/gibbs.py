@@ -3,8 +3,11 @@
 Each sweep draws, in this fixed order, sigma2_1, sigma2_2 (inverse gamma,
 conditioned on the current means) and then mu_1, mu_2 (normal, conditioned
 on the variances just drawn). Exactly four variates are consumed per sweep,
-always in that order, so seeds are portable; the number of underlying
+always in that order, so a seed fixes the chain; the number of underlying
 uniforms per variate varies because the gamma sampler is rejection-based.
+The integer stream behind a seed is the same everywhere, but the variates
+go through libm and may differ in the last ulp across platforms (see
+:mod:`mixtt.distributions`).
 
 A chain is strictly sequential. Run concurrent chains on independently
 derived seeds (:func:`mixtt.distributions.derive_seed`), never by sharing
@@ -54,8 +57,7 @@ class ChainConfig:
 class PosteriorChain:
     """Post-burn-in draws of (mu1, mu2, sigma2_1, sigma2_2), stored column-wise.
 
-    ``len(chain)`` equals ``iterations - burn_in``. The ``draws`` property
-    materializes :class:`mixtt.model.MixtureDraw` objects on demand.
+    ``len(chain)`` equals ``iterations - burn_in``.
     """
 
     mu1: np.ndarray = field(repr=False)
@@ -67,16 +69,6 @@ class PosteriorChain:
 
     def __len__(self) -> int:
         return int(self.mu1.size)
-
-    def draw(self, i: int) -> MixtureDraw:
-        return MixtureDraw(
-            float(self.mu1[i]), float(self.mu2[i]),
-            float(self.sigma2_1[i]), float(self.sigma2_2[i]),
-        )
-
-    @property
-    def draws(self) -> list[MixtureDraw]:
-        return [self.draw(i) for i in range(len(self))]
 
 
 def mu_conditional_params(
@@ -94,23 +86,6 @@ def mu_conditional_params(
     inv_B0 = 1.0 / prior.B0
     B_k = 1.0 / (inv_B0 + n_k / sigma2_k)
     b_k = B_k * (n_k * ybar_k / sigma2_k + prior.b0 * inv_B0)
-    return b_k, B_k
-
-
-def mu_conditional_params_conjugate(
-    sigma2_k: float, n_k: int, ybar_k: float, b0: float, N0: float
-) -> tuple[float, float]:
-    """Conjugate-form mean update, where the prior variance is sigma2_k / N0.
-
-    Provided for comparison tests only; :func:`run_chain` always uses the
-    independence form of :func:`mu_conditional_params`, which is the one
-    compatible with data-scaled B0 presets.
-    """
-    if sigma2_k <= 0.0:
-        raise NonPositiveVariance(f"sigma2_k must be > 0, got {sigma2_k}")
-    denom = N0 + n_k
-    B_k = sigma2_k / denom
-    b_k = (N0 * b0 + n_k * ybar_k) / denom
     return b_k, B_k
 
 
@@ -135,21 +110,12 @@ def gibbs_sweep(
     stats: SufficientStats,
     prior: IndependencePrior,
     rng: RngState,
-    pin_sigma2: tuple[float, float] | None = None,
 ) -> MixtureDraw:
-    """Advance the chain by one full sweep.
-
-    ``pin_sigma2`` fixes the variances instead of drawing them (consuming
-    no variates for them); it exists so tests can check the mean updates
-    against their exact conditional distribution.
-    """
-    if pin_sigma2 is None:
-        c1, C1 = sigma2_conditional_params(current.mu1, sample.group1, prior)
-        s2_1 = sample_inverse_gamma(rng, c1, C1)
-        c2, C2 = sigma2_conditional_params(current.mu2, sample.group2, prior)
-        s2_2 = sample_inverse_gamma(rng, c2, C2)
-    else:
-        s2_1, s2_2 = pin_sigma2
+    """Advance the chain by one full sweep."""
+    c1, C1 = sigma2_conditional_params(current.mu1, sample.group1, prior)
+    s2_1 = sample_inverse_gamma(rng, c1, C1)
+    c2, C2 = sigma2_conditional_params(current.mu2, sample.group2, prior)
+    s2_2 = sample_inverse_gamma(rng, c2, C2)
     b1, B1 = mu_conditional_params(s2_1, stats.n1, stats.ybar1, prior)
     mu1 = sample_normal(rng, b1, B1)
     b2, B2 = mu_conditional_params(s2_2, stats.n2, stats.ybar2, prior)

@@ -22,17 +22,12 @@ from .analysis import (
     DECISION_REJECTED,
     ERROR_TYPE_I,
     ERROR_TYPE_II,
-    DecisionOutcome,
-    EffectSizeDraws,
-    HpdInterval,
-    alpha_decision,
+    PosteriorSummary,
     classify_error,
-    cohen_partition,
-    delta_mpe,
     effect_size_series,
-    hpd_interval,
+    hpd_decision,
     normalize_rope,
-    pmp,
+    summarize,
 )
 from .errors import ConfigInvalid, InsufficientSize, UnknownScenario
 from .distributions import RngState, derive_seed, sample_normal
@@ -132,10 +127,7 @@ class DatasetRecord:
 
     index: int
     dataset_seed: int
-    delta_mpe: float
-    hpd: HpdInterval
-    pmp_label: str
-    pmp_value: float
+    summary: PosteriorSummary
     decision: str
     strict_decision: str
     error: str
@@ -170,28 +162,8 @@ class StudyResult:
             "indeterminate_count",
             sum(r.decision == DECISION_INDETERMINATE for r in self.records),
         )
-        set_(self, "mean_delta_mpe", sum(r.delta_mpe for r in self.records) / n)
+        set_(self, "mean_delta_mpe", sum(r.summary.delta_mpe for r in self.records) / n)
         set_(self, "welch_rejection_rate", sum(r.welch_p < 0.05 for r in self.records) / n)
-
-
-def analyze_dataset(
-    sample: GroupedSample,
-    prior: IndependencePrior,
-    iterations: int,
-    burn_in: int,
-    seed: int,
-    alpha: float,
-    rope,
-    direction: str = "g2-g1",
-) -> tuple[EffectSizeDraws, HpdInterval, tuple[str, float], tuple[DecisionOutcome, DecisionOutcome]]:
-    """Run one chain and compute the standard per-dataset summaries."""
-    chain = run_chain(sample, ChainConfig(iterations, burn_in, seed, prior))
-    deltas = effect_size_series(chain, direction=direction)
-    interval = hpd_interval(deltas, alpha)
-    cell = pmp(deltas, cohen_partition())
-    outcome = alpha_decision(deltas, rope, alpha)
-    strict = alpha_decision(deltas, rope, alpha, strict=True)
-    return deltas, interval, cell, (outcome, strict)
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -214,27 +186,18 @@ def run_study(config: StudyConfig) -> StudyResult:
         data_rng = RngState(derive_seed(dataset_seed, 0))
         sample = generate_dataset(sc, config.n_per_group, data_rng)
         prior = realize_preset(config.preset, sample)
-        deltas, interval, (label, mass), (outcome, strict) = analyze_dataset(
-            sample,
-            prior,
-            config.iterations,
-            config.burn_in,
-            derive_seed(dataset_seed, 1),
-            config.alpha,
-            config.rope,
-        )
-        error = classify_error(sc.true_delta, config.rope, outcome)
+        seed = derive_seed(dataset_seed, 1)
+        chain = run_chain(sample, ChainConfig(config.iterations, config.burn_in, seed, prior))
+        summary = summarize(effect_size_series(chain, direction="g2-g1"), config.alpha)
+        outcome = hpd_decision(summary.hpd, config.rope)
         records.append(
             DatasetRecord(
                 index=i,
                 dataset_seed=dataset_seed,
-                delta_mpe=delta_mpe(deltas),
-                hpd=interval,
-                pmp_label=label,
-                pmp_value=mass,
+                summary=summary,
                 decision=outcome.status,
-                strict_decision=strict.status,
-                error=error,
+                strict_decision=hpd_decision(summary.hpd, config.rope, strict=True).status,
+                error=classify_error(sc.true_delta, config.rope, outcome),
                 welch_p=welch_t_test(sample).p_value,
             )
         )
@@ -248,10 +211,7 @@ class PresetSummary:
     preset: PriorPreset
     prior: IndependencePrior
     chain_seed: int
-    delta_mpe: float
-    hpd: HpdInterval
-    pmp_label: str
-    pmp_value: float
+    summary: PosteriorSummary
 
 
 def prior_sensitivity(
@@ -276,21 +236,10 @@ def prior_sensitivity(
         seed = derive_seed(base_seed, _PRESET_STREAM[preset.kind])
         prior = realize_preset(preset, sample)
         chain = run_chain(sample, ChainConfig(iterations, burn_in, seed, prior))
-        deltas = effect_size_series(chain, direction="g2-g1")
-        label, mass = pmp(deltas, cohen_partition())
-        summaries.append(
-            PresetSummary(
-                preset=preset,
-                prior=prior,
-                chain_seed=seed,
-                delta_mpe=delta_mpe(deltas),
-                hpd=hpd_interval(deltas, alpha),
-                pmp_label=label,
-                pmp_value=mass,
-            )
-        )
+        summary = summarize(effect_size_series(chain, direction="g2-g1"), alpha)
+        summaries.append(PresetSummary(preset, prior, seed, summary))
     differences = {
-        (a.preset.kind, b.preset.kind): a.delta_mpe - b.delta_mpe
+        (a.preset.kind, b.preset.kind): a.summary.delta_mpe - b.summary.delta_mpe
         for idx, a in enumerate(summaries)
         for b in summaries[idx + 1 :]
     }

@@ -28,7 +28,8 @@ class GroupedSample:
     allocations : array-like of int
         Group identifier (1 or 2) for each observation.
 
-    Both sequences must have equal length and each group must be non-empty.
+    Both sequences must have equal length, every value must be finite, and
+    each group must be non-empty.
     Instances are immutable by convention; do not mutate the arrays.
     """
 
@@ -41,6 +42,8 @@ class GroupedSample:
             raise ValueError("values and allocations must be one-dimensional")
         if v.size != a.size:
             raise ValueError(f"length mismatch: {v.size} values vs {a.size} allocations")
+        if not np.isfinite(v).all():
+            raise ValueError("values must all be finite")
         bad = set(np.unique(a)) - {1, 2}
         if bad:
             raise ValueError(f"allocations must be 1 or 2, got {sorted(bad)}")
@@ -222,9 +225,3 @@ def pooled_sd(sigma2_1, sigma2_2, n1: int, n2: int):
     else:
         out = np.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
     return float(out) if out.ndim == 0 else out
-
-
-def group_weights(sample: GroupedSample) -> tuple[float, float]:
-    """Mixture weights (n1/N, n2/N) implied by the observed allocations."""
-    n = len(sample)
-    return sample.n1 / n, sample.n2 / n

@@ -20,6 +20,7 @@ from .analysis import (
     DecisionOutcome,
     EffectSizeDraws,
     HpdInterval,
+    PosteriorSummary,
     cohen_partition,
     kde_density,
     silverman_bandwidth,
@@ -55,9 +56,12 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
             if len(row) < 2:
                 raise ParseError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
             try:
-                values.append(float(row[0]))
+                value = float(row[0])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: not a number: {row[0]!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: line {lineno}: not a finite number: {row[0]!r}")
+            values.append(value)
             labels.append(row[1].strip())
     if not values:
         raise ParseError(f"{path}: no data rows")
@@ -86,12 +90,8 @@ def write_sample_csv(sample: GroupedSample, path: str | Path) -> None:
 class AnalysisReport:
     """Everything one analysis produced, plus the metadata to reproduce it."""
 
-    delta_mpe: float
+    summary: PosteriorSummary
     delta_mode: float
-    hpd: HpdInterval
-    esr: tuple[float, float]
-    pmp_label: str
-    pmp_value: float
     decision: DecisionOutcome
     welch: WelchResult
     iterations: int
@@ -107,13 +107,12 @@ class AnalysisReport:
     parameter_summary: dict
 
     def to_dict(self) -> dict:
+        hpd = self.summary.hpd
         return {
             "analysis": {
-                "delta_mpe": self.delta_mpe,
+                **_summary_dict(self.summary),
                 "delta_mode": self.delta_mode,
-                "hpd": _interval_dict(self.hpd),
-                "esr": {"lower": self.esr[0], "upper": self.esr[1]},
-                "pmp": {"cell": self.pmp_label, "value": self.pmp_value},
+                "esr": {"lower": hpd.lower, "upper": hpd.upper},
                 "decision": {
                     "status": self.decision.status,
                     "alpha": self.decision.alpha,
@@ -139,8 +138,13 @@ class AnalysisReport:
         }
 
 
-def _interval_dict(interval: HpdInterval) -> dict:
-    return {"level": interval.level, "lower": interval.lower, "upper": interval.upper}
+def _summary_dict(summary: PosteriorSummary) -> dict:
+    hpd = summary.hpd
+    return {
+        "delta_mpe": summary.delta_mpe,
+        "hpd": {"level": hpd.level, "lower": hpd.lower, "upper": hpd.upper},
+        "pmp": {"cell": summary.pmp_label, "value": summary.pmp_value},
+    }
 
 
 def _prior_dict(prior: IndependencePrior) -> dict:
@@ -183,9 +187,7 @@ def study_result_dict(result: StudyResult) -> dict:
             {
                 "index": r.index,
                 "dataset_seed": r.dataset_seed,
-                "delta_mpe": r.delta_mpe,
-                "hpd": _interval_dict(r.hpd),
-                "pmp": {"cell": r.pmp_label, "value": r.pmp_value},
+                **_summary_dict(r.summary),
                 "decision": r.decision,
                 "strict_decision": r.strict_decision,
                 "error": r.error,
@@ -221,9 +223,7 @@ def sensitivity_dict(
                 "preset": s.preset.kind,
                 "prior": _prior_dict(s.prior),
                 "chain_seed": s.chain_seed,
-                "delta_mpe": s.delta_mpe,
-                "hpd": _interval_dict(s.hpd),
-                "pmp": {"cell": s.pmp_label, "value": s.pmp_value},
+                **_summary_dict(s.summary),
             }
             for s in summaries
         ],

@@ -37,6 +37,16 @@ def shortest_covering_interval(values, level):
     return best[1], best[2]
 
 
+def mu_conditional_params_conjugate(sigma2_k, n_k, ybar_k, b0, N0):
+    """Conjugate-form mean update (b_k, B_k), where the prior variance is sigma2_k / N0.
+
+    The sampler uses the independence form instead, the one compatible with
+    data-scaled B0 presets; with B0 = sigma2_k / N0 the two must agree.
+    """
+    denom = N0 + n_k
+    return (N0 * b0 + n_k * ybar_k) / denom, sigma2_k / denom
+
+
 def group_posterior_moments(values, prior, n_mu=1601, n_logv=2001, v_span=1e4, mu_pad=14.0):
     """Posterior moments of (mu, v) for one Gaussian group by 2-D quadrature.
 

@@ -373,7 +373,7 @@ def test_c8_consistency_trends(null_trend_studies, null_study_300):
                 scenario=Scenario.named("large"), n_per_group=n, n_datasets=1,
                 master_seed=derive_seed(derive_seed(SEED, 1000 + n), rep),
             )
-            pmps.append(run_study(cfg).records[0].pmp_value)
+            pmps.append(run_study(cfg).records[0].summary.pmp_value)
         pmp_medians[n] = statistics.median(pmps)
 
     rates = dict(null_trend_studies)

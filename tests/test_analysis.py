@@ -19,7 +19,6 @@ from mixtt.analysis import (
     classify_error,
     cohen_partition,
     delta_mpe,
-    effect_size_range,
     effect_size_series,
     hpd_interval,
     pmp,
@@ -42,7 +41,6 @@ def chain_of(mu1, mu2, s1, s2, n1=10, n2=10):
 def test_effect_size_unit_pooled_sd():
     draws = effect_size_series(chain_of([1.0], [0.0], [1.0], [1.0]))
     assert draws.deltas[0] == 1.0
-    assert (draws.n1, draws.n2) == (10, 10)
 
 
 def test_effect_size_equal_means_is_zero():
@@ -72,15 +70,15 @@ def test_effect_size_requires_three_observations():
 
 
 def test_delta_mpe():
-    assert delta_mpe(EffectSizeDraws(np.array([0.1, 0.2, 0.3]), 5, 5)) == pytest.approx(0.2)
-    assert delta_mpe(EffectSizeDraws(np.array([0.7]), 5, 5)) == 0.7
+    assert delta_mpe(EffectSizeDraws(np.array([0.1, 0.2, 0.3]))) == pytest.approx(0.2)
+    assert delta_mpe(EffectSizeDraws(np.array([0.7]))) == 0.7
 
 
 def test_effect_size_draws_validation():
     with pytest.raises(ValueError):
-        EffectSizeDraws(np.array([]), 5, 5)
+        EffectSizeDraws(np.array([]))
     with pytest.raises(ValueError):
-        EffectSizeDraws(np.array([1.0, np.inf]), 5, 5)
+        EffectSizeDraws(np.array([1.0, np.inf]))
 
 
 def test_posterior_mode_symmetric():
@@ -150,14 +148,6 @@ def test_hpd_matches_enumeration_oracle():
         for level in (0.3, 0.6, 0.95, 1.0):
             interval = hpd_interval(draws, level)
             assert (interval.lower, interval.upper) == shortest_covering_interval(draws, level)
-
-
-def test_effect_size_range_equals_hpd_bounds():
-    rng = np.random.default_rng(11)
-    draws = rng.normal(0, 1, 500)
-    interval = hpd_interval(draws, 0.9)
-    assert effect_size_range(draws, 0.9) == (interval.lower, interval.upper)
-    assert effect_size_range(draws, 1.0) == (draws.min(), draws.max())
 
 
 def test_cohen_partition_cells():

@@ -122,6 +122,17 @@ def test_parse_error_carries_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_non_finite_value_rejected_with_line_number(tmp_path, capsys, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"value,group\n1.0,a\n2.0,b\n{bad},a\n3.0,b\n")
+    out = tmp_path / "r.json"
+    rc = run_cli("analyze", "--input", path, "--output", out, "--seed", 1)
+    assert rc != 0
+    assert "line 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_header_rejected(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("amount,arm\n1.0,a\n2.0,b\n")
@@ -198,6 +209,14 @@ def test_sensitivity_single_preset_fails(data_csv, tmp_path, capsys):
                  "--output", tmp_path / "s.json")
     assert rc != 0
     assert "two presets" in capsys.readouterr().err
+
+
+def test_sensitivity_has_no_rope_flag(data_csv, tmp_path):
+    # sensitivity reports no decisions, so a rope would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sensitivity", "--input", data_csv, "--seed", 4, "--rope=-5,5",
+                "--output", tmp_path / "s.json")
+    assert exc.value.code == 2
 
 
 def test_sensitivity_deterministic(data_csv, tmp_path):

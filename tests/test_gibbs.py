@@ -1,10 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
-from _oracles import batch_cov_se, batch_mean_se, batch_var_se, group_posterior_moments
+from _oracles import (
+    batch_cov_se,
+    batch_mean_se,
+    batch_var_se,
+    group_posterior_moments,
+    mu_conditional_params_conjugate,
+)
 
+from mixtt import gibbs
 from mixtt.distributions import RngState
 from mixtt.errors import ConfigInvalid, NonPositiveVariance
 from mixtt.gibbs import (
@@ -12,7 +20,6 @@ from mixtt.gibbs import (
     gibbs_sweep,
     initial_draw,
     mu_conditional_params,
-    mu_conditional_params_conjugate,
     run_chain,
     sigma2_conditional_params,
 )
@@ -126,19 +133,23 @@ def test_config_validation():
         ChainConfig(0, 0, 1, PRIOR)
 
 
-def test_pinned_sigma2_mu_matches_conditional():
+def test_pinned_sigma2_mu_matches_conditional(monkeypatch):
     # with the variances pinned, successive mu draws are iid from the exact
-    # normal conditional; check both with a KS test at the 1e-3 level
+    # normal conditional; check both with a KS test at the 1e-3 level. The
+    # stub stands in for each sweep's two variance draws (sigma2_1, then
+    # sigma2_2) and consumes no RNG words.
     sample = make_sample([4.2, 5.1, 4.8, 5.6, 4.4], [6.3, 5.9, 7.1, 6.5, 6.8])
     stats = compute_sufficient_stats(sample)
     prior = IndependencePrior(b0=5.0, B0=2.0, c0=1.0, C0=1.0)
     pin = (2.0, 3.0)
+    pinned = itertools.cycle(pin)
+    monkeypatch.setattr(gibbs, "sample_inverse_gamma", lambda rng, shape, scale: next(pinned))
     rng = RngState(1234)
     current = initial_draw(stats)
     mu1 = np.empty(100_000)
     mu2 = np.empty(100_000)
     for i in range(mu1.size):
-        current = gibbs_sweep(current, sample, stats, prior, rng, pin_sigma2=pin)
+        current = gibbs_sweep(current, sample, stats, prior, rng)
         mu1[i] = current.mu1
         mu2[i] = current.mu2
     for draws, sigma2, n, ybar in [(mu1, pin[0], stats.n1, stats.ybar1),

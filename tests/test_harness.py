@@ -84,7 +84,7 @@ def test_single_dataset_study_aggregates_equal_record():
     res = run_study(cfg)
     assert len(res.records) == 1
     rec = res.records[0]
-    assert res.mean_delta_mpe == rec.delta_mpe
+    assert res.mean_delta_mpe == rec.summary.delta_mpe
     assert res.type_i_rate == float(rec.error == "type-I")
     assert res.accepted_count == int(rec.decision == "accepted")
 
@@ -137,7 +137,7 @@ def test_large_effect_never_looks_null_even_at_n50():
         master_seed=88,
     )
     res = run_study(cfg)
-    contained = sum(r.hpd.lower >= -0.2 and r.hpd.upper <= 0.2 for r in res.records)
+    contained = sum(r.summary.hpd.lower >= -0.2 and r.summary.hpd.upper <= 0.2 for r in res.records)
     assert contained == 0
     assert res.type_ii_rate == 0.0
 
@@ -161,7 +161,7 @@ def test_prior_sensitivity_small_differences():
     # shrinkage pulls the narrow-prior estimate toward zero, within noise
     wide = next(s for s in summaries if s.preset.kind == "wide")
     narrow = next(s for s in summaries if s.preset.kind == "narrow")
-    assert abs(narrow.delta_mpe) <= abs(wide.delta_mpe) + 0.02
+    assert abs(narrow.summary.delta_mpe) <= abs(wide.summary.delta_mpe) + 0.02
 
 
 def test_prior_sensitivity_repeated_preset_is_exactly_equal():
@@ -171,7 +171,7 @@ def test_prior_sensitivity_repeated_preset_is_exactly_equal():
         iterations=2000, burn_in=1000,
     )
     assert diffs[("wide", "wide")] == 0.0
-    assert summaries[0].delta_mpe == summaries[1].delta_mpe
+    assert summaries[0].summary.delta_mpe == summaries[1].summary.delta_mpe
 
 
 def test_prior_sensitivity_needs_two_presets():

@@ -12,7 +12,6 @@ from mixtt.model import (
     MixtureDraw,
     PriorPreset,
     compute_sufficient_stats,
-    group_weights,
     pooled_sd,
     realize_preset,
 )
@@ -29,6 +28,12 @@ def test_sample_validation():
         GroupedSample([1.0, 2.0], [1, 3])
     with pytest.raises(EmptyGroup):
         GroupedSample([1.0, 2.0], [1, 1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GroupedSample([1.0, bad, 3.0, 4.0], [1, 1, 2, 2])
 
 
 def test_from_labels_first_seen_is_group_one():
@@ -86,10 +91,6 @@ def test_translation_equivariance_of_stats():
     assert shifted.ybar2 == pytest.approx(base.ybar2 + c, rel=1e-12)
     assert shifted.s2y1 == pytest.approx(base.s2y1, rel=1e-9, abs=1e-12)
     assert shifted.s2y2 == pytest.approx(base.s2y2, rel=1e-9, abs=1e-12)
-
-
-def test_group_weights():
-    assert group_weights(make_sample([1, 2, 3], [4, 5])) == (0.6, 0.4)
 
 
 def test_pooled_sd_examples():

@@ -35,6 +35,24 @@ def test_matches_scipy_on_random_data():
         assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "t, n, scale",
+    [(9.0, 50_001, 1.0), (0.3, 3, 1.0), (-1.7, 8, 2.0), (2.4, 16, 1.0), (5.0, 126, 3.0), (-12.0, 5, 1.0)],
+)
+def test_p_value_keeps_tail_precision(t, n, scale):
+    # two standardized groups of size n, the second scaled and shifted so the
+    # statistic lands at t; (9, 50_001) gives df = 1e5, where 2*(1 - cdf)
+    # would round to 0
+    z = np.random.default_rng(24).normal(0, 1, n)
+    z = (z - z.mean()) / z.std(ddof=1)
+    shift = t * np.sqrt((1.0 + scale * scale) / n)
+    res = welch_t_test(make_sample(z, scale * z - shift))
+    assert res.t_statistic == pytest.approx(t, rel=1e-9)
+    ref = 2.0 * scipy.stats.t.sf(abs(res.t_statistic), res.df)
+    assert ref > 0.0
+    assert res.p_value == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
 def test_translation_invariance():
     rng = np.random.default_rng(21)
     g1, g2 = rng.normal(0, 1, 15), rng.normal(1, 3, 20)
