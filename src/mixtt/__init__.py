@@ -32,7 +32,6 @@ from .distributions import (
     sample_gamma,
     sample_inverse_gamma,
     sample_normal,
-    student_t_cdf,
 )
 from .errors import MixttError
 from .gibbs import ChainConfig, PosteriorChain, gibbs_sweep, run_chain
@@ -48,7 +47,6 @@ from .harness import (
 from .model import (
     GroupedSample,
     IndependencePrior,
-    MixtureDraw,
     PriorPreset,
     SufficientStats,
     compute_sufficient_stats,
@@ -66,7 +64,6 @@ __all__ = [
     "GroupedSample",
     "HpdInterval",
     "IndependencePrior",
-    "MixtureDraw",
     "MixttError",
     "PosteriorChain",
     "PosteriorSummary",
@@ -101,6 +98,5 @@ __all__ = [
     "sample_normal",
     "summarize",
     "scenario_params",
-    "student_t_cdf",
     "welch_t_test",
 ]

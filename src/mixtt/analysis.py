@@ -20,6 +20,9 @@ from .model import pooled_sd
 
 DIRECTIONS = ("g1-g2", "g2-g1")
 
+# points of the uniform grid over [min, max] that the density is evaluated on
+_DENSITY_GRID_POINTS = 512
+
 DECISION_ACCEPTED = "accepted"
 DECISION_REJECTED = "rejected"
 DECISION_INDETERMINATE = "indeterminate"
@@ -141,10 +144,10 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * spread * x.size ** (-0.2)
 
 
-def kde_density(values, grid: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
+def kde_density(values, grid: np.ndarray) -> np.ndarray:
     """Gaussian kernel density of ``values`` evaluated on ``grid``."""
     x = _as_deltas(values)
-    h = silverman_bandwidth(x) if bandwidth is None else bandwidth
+    h = silverman_bandwidth(x)
     out = np.empty(grid.size)
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
     # block over the grid to bound the broadcast temporaries
@@ -154,8 +157,10 @@ def kde_density(values, grid: np.ndarray, bandwidth: float | None = None) -> np.
     return out * norm
 
 
-def posterior_mode(draws, grid_points: int = 512) -> float:
-    """Mode of the kernel density estimate on a uniform grid over [min, max].
+def density_grid(draws) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel density estimate of the draws on a uniform grid over [min, max].
+
+    Returns ``(grid, density)``.
 
     Raises
     ------
@@ -164,9 +169,14 @@ def posterior_mode(draws, grid_points: int = 512) -> float:
     """
     d = _as_deltas(draws)
     if np.all(d == d[0]):
-        raise DegenerateDraws("all draws identical; mode undefined")
-    grid = np.linspace(d.min(), d.max(), grid_points)
-    dens = kde_density(d, grid)
+        raise DegenerateDraws("all draws identical; no density estimate exists")
+    grid = np.linspace(d.min(), d.max(), _DENSITY_GRID_POINTS)
+    return grid, kde_density(d, grid)
+
+
+def posterior_mode(draws) -> float:
+    """Grid point where :func:`density_grid` peaks."""
+    grid, dens = density_grid(draws)
     return float(grid[int(np.argmax(dens))])
 
 
@@ -281,22 +291,15 @@ def summarize(draws, alpha: float) -> PosteriorSummary:
     return PosteriorSummary(delta_mpe(d), hpd_interval(d, alpha), label, mass)
 
 
-def classify_error(
-    true_delta: float,
-    rope,
-    outcome: DecisionOutcome,
-    hypothesis_contains_true: bool = True,
-) -> str:
+def classify_error(true_delta: float, rope, outcome: DecisionOutcome) -> str:
     """Classify a decision against the known true effect size.
 
     Rejecting when the rope contains the truth is a type-I error; accepting
-    when it does not is a type-II error. ``hypothesis_contains_true`` narrows
-    type-I to the case where the stated hypothesis itself covers the truth
-    (the rope always encloses the hypothesis, so type-II needs no flag).
+    when it does not is a type-II error.
     """
     rope = normalize_rope(rope)
     in_rope = any(lo <= true_delta <= hi for lo, hi in rope)
-    if in_rope and hypothesis_contains_true and outcome.status == DECISION_REJECTED:
+    if in_rope and outcome.status == DECISION_REJECTED:
         return ERROR_TYPE_I
     if not in_rope and outcome.status == DECISION_ACCEPTED:
         return ERROR_TYPE_II

@@ -10,16 +10,16 @@ last ulp where another platform's libm rounds differently.
 
 Variate algorithms: normal draws use the Box-Muller transform (one value
 per call, nothing cached), gamma draws use the Marsaglia-Tsang squeeze
-method with the shape<1 boost, and the Student-t CDF goes through the
-regularized incomplete beta function evaluated by a continued fraction
-with Lentz's algorithm.
+method with the shape<1 boost, and the regularized incomplete beta function
+behind Welch p-values is a continued fraction evaluated with Lentz's
+algorithm.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NonPositiveDf, NonPositiveParameter, NonPositiveVariance
+from .errors import NonPositiveParameter, NonPositiveVariance
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -56,11 +56,10 @@ class RngState:
     copied or shared. Independent streams come from :func:`derive_seed`.
     """
 
-    __slots__ = ("seed", "_s0", "_s1", "_s2", "_s3")
+    __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
         seed = int(seed) & _MASK64
-        self.seed = seed
         self._s0 = _splitmix64_at(seed, 1)
         self._s1 = _splitmix64_at(seed, 2)
         self._s2 = _splitmix64_at(seed, 3)
@@ -204,21 +203,3 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return front * _beta_continued_fraction(a, b, x) / a
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
-
-def student_t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for Student-t with ``df`` degrees of freedom.
-
-    Satisfies cdf(t) + cdf(-t) = 1 exactly by construction.
-
-    Raises
-    ------
-    NonPositiveDf
-        If ``df <= 0``.
-    """
-    if df <= 0.0:
-        raise NonPositiveDf(f"degrees of freedom must be > 0, got {df}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    half_tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, x)
-    return 1.0 - half_tail if t > 0.0 else half_tail

@@ -29,10 +29,6 @@ class NonPositiveParameter(MixttError):
     """A shape or scale parameter must be strictly positive."""
 
 
-class NonPositiveDf(MixttError):
-    """Degrees of freedom must be strictly positive."""
-
-
 class InvalidLevel(MixttError):
     """A credible level must lie in (0, 1]."""
 

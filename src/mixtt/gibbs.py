@@ -9,6 +9,11 @@ The integer stream behind a seed is the same everywhere, but the variates
 go through libm and may differ in the last ulp across platforms (see
 :mod:`mixtt.distributions`).
 
+The chain state is a plain ``(mu1, mu2, sigma2_1, sigma2_2)`` tuple of
+floats; :func:`run_chain` keeps it in locals and writes the kept sweeps
+straight into preallocated arrays. Variance positivity is checked where it
+is used, by :func:`mu_conditional_params`.
+
 A chain is strictly sequential. Run concurrent chains on independently
 derived seeds (:func:`mixtt.distributions.derive_seed`), never by sharing
 one RngState.
@@ -22,13 +27,7 @@ import numpy as np
 
 from .distributions import RngState, sample_inverse_gamma, sample_normal
 from .errors import ConfigInvalid, NonPositiveVariance
-from .model import (
-    GroupedSample,
-    IndependencePrior,
-    MixtureDraw,
-    SufficientStats,
-    compute_sufficient_stats,
-)
+from .model import GroupedSample, IndependencePrior, SufficientStats, compute_sufficient_stats
 
 # floor for the variance initialization so constant-valued groups can start
 _MIN_INIT_VARIANCE = 1e-8
@@ -64,8 +63,7 @@ class PosteriorChain:
     mu2: np.ndarray = field(repr=False)
     sigma2_1: np.ndarray = field(repr=False)
     sigma2_2: np.ndarray = field(repr=False)
-    config: ChainConfig = field(repr=True)
-    stats: SufficientStats = field(repr=True)
+    stats: SufficientStats
 
     def __len__(self) -> int:
         return int(self.mu1.size)
@@ -105,27 +103,27 @@ def sigma2_conditional_params(
 
 
 def gibbs_sweep(
-    current: MixtureDraw,
+    current: tuple[float, float, float, float],
     sample: GroupedSample,
     stats: SufficientStats,
     prior: IndependencePrior,
     rng: RngState,
-) -> MixtureDraw:
-    """Advance the chain by one full sweep."""
-    c1, C1 = sigma2_conditional_params(current.mu1, sample.group1, prior)
+) -> tuple[float, float, float, float]:
+    """Advance the chain state (mu1, mu2, sigma2_1, sigma2_2) by one full sweep."""
+    c1, C1 = sigma2_conditional_params(current[0], sample.group1, prior)
     s2_1 = sample_inverse_gamma(rng, c1, C1)
-    c2, C2 = sigma2_conditional_params(current.mu2, sample.group2, prior)
+    c2, C2 = sigma2_conditional_params(current[1], sample.group2, prior)
     s2_2 = sample_inverse_gamma(rng, c2, C2)
     b1, B1 = mu_conditional_params(s2_1, stats.n1, stats.ybar1, prior)
     mu1 = sample_normal(rng, b1, B1)
     b2, B2 = mu_conditional_params(s2_2, stats.n2, stats.ybar2, prior)
     mu2 = sample_normal(rng, b2, B2)
-    return MixtureDraw(mu1, mu2, s2_1, s2_2)
+    return mu1, mu2, s2_1, s2_2
 
 
-def initial_draw(stats: SufficientStats) -> MixtureDraw:
+def initial_draw(stats: SufficientStats) -> tuple[float, float, float, float]:
     """Chain start at the group empirical moments (variances floored above zero)."""
-    return MixtureDraw(
+    return (
         stats.ybar1,
         stats.ybar2,
         max(stats.s2y1, _MIN_INIT_VARIANCE),
@@ -136,6 +134,7 @@ def initial_draw(stats: SufficientStats) -> MixtureDraw:
 def run_chain(sample: GroupedSample, config: ChainConfig) -> PosteriorChain:
     """Run a seeded chain and return the post-burn-in draws in sweep order."""
     stats = compute_sufficient_stats(sample)
+    prior = config.prior
     rng = RngState(config.seed)
     kept = config.iterations - config.burn_in
     mu1 = np.empty(kept)
@@ -143,13 +142,9 @@ def run_chain(sample: GroupedSample, config: ChainConfig) -> PosteriorChain:
     s2_1 = np.empty(kept)
     s2_2 = np.empty(kept)
     current = initial_draw(stats)
-    burn = config.burn_in
-    for i in range(config.iterations):
-        current = gibbs_sweep(current, sample, stats, config.prior, rng)
-        j = i - burn
-        if j >= 0:
-            mu1[j] = current.mu1
-            mu2[j] = current.mu2
-            s2_1[j] = current.sigma2_1
-            s2_2[j] = current.sigma2_2
-    return PosteriorChain(mu1, mu2, s2_1, s2_2, config, stats)
+    for _ in range(config.burn_in):
+        current = gibbs_sweep(current, sample, stats, prior, rng)
+    for j in range(kept):
+        current = gibbs_sweep(current, sample, stats, prior, rng)
+        mu1[j], mu2[j], s2_1[j], s2_2[j] = current
+    return PosteriorChain(mu1, mu2, s2_1, s2_2, stats)

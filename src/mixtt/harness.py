@@ -57,11 +57,7 @@ def scenario_params(kind: str) -> tuple[float, float, float, float, float]:
     if kind not in _SCENARIOS:
         raise UnknownScenario(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
     mu1, sd1, mu2, sd2 = _SCENARIOS[kind]
-    return mu1, sd1, mu2, sd2, _true_delta(mu1, sd1, mu2, sd2)
-
-
-def _true_delta(mu1: float, sd1: float, mu2: float, sd2: float) -> float:
-    return (mu2 - mu1) / math.sqrt((sd1 * sd1 + sd2 * sd2) / 2.0)
+    return mu1, sd1, mu2, sd2, (mu2 - mu1) / math.sqrt((sd1 * sd1 + sd2 * sd2) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -79,12 +75,6 @@ class Scenario:
     def named(cls, kind: str) -> "Scenario":
         mu1, sd1, mu2, sd2, delta = scenario_params(kind)
         return cls(kind, mu1, sd1, mu2, sd2, delta)
-
-    @classmethod
-    def custom(cls, mu1: float, sd1: float, mu2: float, sd2: float) -> "Scenario":
-        if sd1 <= 0.0 or sd2 <= 0.0:
-            raise ValueError("component standard deviations must be > 0")
-        return cls("custom", mu1, sd1, mu2, sd2, _true_delta(mu1, sd1, mu2, sd2))
 
 
 def generate_dataset(scenario: Scenario, n_per_group: int, rng: RngState) -> GroupedSample:

@@ -8,7 +8,6 @@ here are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +36,18 @@ class GroupedSample:
 
     def __init__(self, values, allocations):
         v = np.asarray(values, dtype=float)
-        a = np.asarray(allocations, dtype=int)
+        a = np.asarray(allocations)
         if v.ndim != 1 or a.ndim != 1:
             raise ValueError("values and allocations must be one-dimensional")
         if v.size != a.size:
             raise ValueError(f"length mismatch: {v.size} values vs {a.size} allocations")
         if not np.isfinite(v).all():
             raise ValueError("values must all be finite")
-        bad = set(np.unique(a)) - {1, 2}
+        # checked before the integer cast, which would truncate 1.7 to 1
+        bad = set(a[(a != 1) & (a != 2)].tolist())
         if bad:
             raise ValueError(f"allocations must be 1 or 2, got {sorted(bad)}")
+        a = a.astype(int)
         self.values = v
         self.allocations = a
         self.group1 = v[a == 1]
@@ -131,22 +132,6 @@ class PriorPreset:
             raise ValueError(f"unknown preset kind {self.kind!r}; expected one of {PRESET_KINDS}")
         if (self.kind == "custom") != (self.custom is not None):
             raise ValueError("custom prior hyperparameters go with kind='custom' and only with it")
-
-
-@dataclass(frozen=True)
-class MixtureDraw:
-    """One joint draw of the four component parameters."""
-
-    mu1: float
-    mu2: float
-    sigma2_1: float
-    sigma2_2: float
-
-    def __post_init__(self):
-        if self.sigma2_1 <= 0.0 or self.sigma2_2 <= 0.0:
-            raise NonPositiveVariance(
-                f"variances must be > 0, got ({self.sigma2_1}, {self.sigma2_2})"
-            )
 
 
 def compute_sufficient_stats(sample: GroupedSample) -> SufficientStats:

@@ -14,16 +14,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
     DecisionOutcome,
     EffectSizeDraws,
     HpdInterval,
     PosteriorSummary,
     cohen_partition,
-    kde_density,
-    silverman_bandwidth,
+    density_grid,
 )
 from .errors import ParseError
 from .gibbs import PosteriorChain
@@ -34,6 +31,9 @@ from .welch import WelchResult
 
 def read_sample_csv(path: str | Path) -> GroupedSample:
     """Read a two-column ``value,group`` CSV into a :class:`GroupedSample`.
+
+    The header and every data row hold exactly two fields; blank lines are
+    skipped.
 
     Raises
     ------
@@ -48,12 +48,12 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
         if header is None:
             raise ParseError(f"{path}: empty file")
         header = [h.strip().lower() for h in header]
-        if header[:2] != ["value", "group"]:
+        if header != ["value", "group"]:
             raise ParseError(f"{path}: line 1: expected header 'value,group', got {','.join(header)!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
-            if len(row) < 2:
+            if len(row) != 2:
                 raise ParseError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
             try:
                 value = float(row[0])
@@ -69,21 +69,6 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
         return GroupedSample.from_labels(values, labels)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-
-
-def write_sample_csv(sample: GroupedSample, path: str | Path) -> None:
-    """Write a sample back out in the same ``value,group`` format.
-
-    Rows come out grouped (all of group 1, then group 2) so that re-reading
-    maps the first label back to group 1; within-group order is preserved
-    and the groups are exchangeable, so no information is lost.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "group"])
-        for group, label in ((sample.group1, 1), (sample.group2, 2)):
-            for v in group:
-                writer.writerow([repr(float(v)), label])
 
 
 @dataclass(frozen=True)
@@ -241,17 +226,19 @@ def write_json(obj: dict, path: str | Path) -> None:
         fh.write("\n")
 
 
-def write_plot_data(
-    deltas: EffectSizeDraws, hpd: HpdInterval, path: str | Path, grid_points: int = 512
-) -> None:
+def write_plot_data(deltas: EffectSizeDraws, hpd: HpdInterval, path: str | Path) -> None:
     """Write the effect-size density plus annotation rows as ``kind,x,y`` CSV.
 
-    Density rows hold grid point and kernel density; annotation rows (HPD
-    bounds and the conventional category boundaries) leave ``y`` empty.
+    Density rows hold the :func:`~mixtt.analysis.density_grid` points and
+    densities; annotation rows (HPD bounds and the conventional category
+    boundaries) leave ``y`` empty.
+
+    Raises
+    ------
+    DegenerateDraws
+        If all draws are identical (no density estimate exists).
     """
-    d = deltas.deltas
-    grid = np.linspace(float(d.min()), float(d.max()), grid_points)
-    dens = kde_density(d, grid, silverman_bandwidth(d))
+    grid, dens = density_grid(deltas)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "x", "y"])

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -33,9 +32,8 @@ from mixtt.model import GroupedSample, IndependencePrior, SufficientStats
 def chain_of(mu1, mu2, s1, s2, n1=10, n2=10):
     """Hand-built chain for exercising the effect-size transform."""
     stats = SufficientStats(n1=n1, n2=n2, ybar1=0.0, ybar2=0.0, s2y1=1.0, s2y2=1.0)
-    cfg = ChainConfig(2, 1, 0, IndependencePrior(0.0, 1.0, 1.0, 1.0))
     arr = lambda x: np.asarray(x, dtype=float)
-    return PosteriorChain(arr(mu1), arr(mu2), arr(s1), arr(s2), cfg, stats)
+    return PosteriorChain(arr(mu1), arr(mu2), arr(s1), arr(s2), stats)
 
 
 def test_effect_size_unit_pooled_sd():
@@ -240,8 +238,6 @@ def test_classify_error_definitions():
     assert classify_error(0.0, rope, accepted) == ERROR_NONE
     assert classify_error(0.0, rope, indeterminate) == ERROR_NONE
     assert classify_error(1.03, rope, rejected) == ERROR_NONE
-    # the hypothesis flag narrows type-I only
-    assert classify_error(0.0, rope, rejected, hypothesis_contains_true=False) == ERROR_NONE
 
 
 def test_mode_matches_kitchen_sink_chain():

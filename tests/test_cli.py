@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from mixtt.analysis import EffectSizeDraws, HpdInterval
 from mixtt.cli import main
 from mixtt.distributions import RngState, sample_normal
+from mixtt.errors import DegenerateDraws
 from mixtt.model import GroupedSample, compute_sufficient_stats
-from mixtt.reports import read_sample_csv, write_sample_csv
+from mixtt.reports import read_sample_csv, write_plot_data
 
 
 @pytest.fixture
@@ -25,6 +27,17 @@ def data_csv(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def write_sample_csv(sample, path):
+    # rows grouped (all of group 1, then group 2), so re-reading maps the
+    # first label back to group 1; within-group order is kept
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["value", "group"])
+        for group, label in ((sample.group1, 1), (sample.group2, 2)):
+            for v in group:
+                writer.writerow([repr(float(v)), label])
 
 
 def test_analyze_report_contents(data_csv, tmp_path):
@@ -67,6 +80,26 @@ def test_analyze_plot_data_structure(data_csv, tmp_path):
     assert hpd_lower == report["analysis"]["hpd"]["lower"]
     boundaries = sorted(float(r[1]) for r in rows if r[0] == "rope_boundary")
     assert boundaries == [-0.8, -0.5, -0.2, 0.2, 0.5, 0.8]
+
+
+def test_delta_mode_is_plot_density_peak(data_csv, tmp_path):
+    out = tmp_path / "report.json"
+    plot = tmp_path / "plot.csv"
+    rc = run_cli("analyze", "--input", data_csv, "--output", out, "--plot-data", plot,
+                 "--seed", 8, "--iters", 2000, "--burnin", 500)
+    assert rc == 0
+    density = [(float(x), float(y)) for kind, x, y in csv.reader(plot.open()) if kind == "density"]
+    peak_x = max(density, key=lambda row: row[1])[0]
+    assert json.loads(out.read_text())["analysis"]["delta_mode"] == peak_x
+
+
+@pytest.mark.parametrize("value", [1.0, 0.3])
+def test_plot_data_rejects_constant_draws(tmp_path, value):
+    # 1.0 gives an sd of exactly 0; 0.3 gives a rounding-sized sd and a
+    # bandwidth near 1e-17, which would make a spike instead of an error
+    draws = EffectSizeDraws(np.full(50, value))
+    with pytest.raises(DegenerateDraws):
+        write_plot_data(draws, HpdInterval(0.95, value, value), tmp_path / "plot.csv")
 
 
 def test_analyze_deterministic_outputs(data_csv, tmp_path):
@@ -131,6 +164,22 @@ def test_non_finite_value_rejected_with_line_number(tmp_path, capsys, bad):
     assert rc != 0
     assert "line 4" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("value,group\n1.0,a\n\n2.0,b\n1.0,a,junk\n3.0,b\n", "line 5"),
+        ("value,group,note\n1.0,a\n2.0,b\n3.0,a\n4.0,b\n", "line 1"),
+    ],
+    ids=["data-row", "header"],
+)
+def test_extra_columns_rejected_with_line_number(tmp_path, capsys, text, line):
+    path = tmp_path / "wide.csv"
+    path.write_text(text)
+    rc = run_cli("analyze", "--input", path, "--output", tmp_path / "r.json", "--seed", 1)
+    assert rc == 2
+    assert line in capsys.readouterr().err
 
 
 def test_bad_header_rejected(tmp_path, capsys):

@@ -26,7 +26,6 @@ from mixtt.gibbs import (
 from mixtt.model import (
     GroupedSample,
     IndependencePrior,
-    MixtureDraw,
     PriorPreset,
     compute_sufficient_stats,
     realize_preset,
@@ -101,11 +100,11 @@ def test_sweep_survives_zero_residuals():
     # all values equal the current mean: C_k collapses to C0, draw must stay valid
     sample = make_sample([2.0, 2.0, 2.0], [5.0, 5.0])
     stats = compute_sufficient_stats(sample)
-    current = MixtureDraw(2.0, 5.0, 1.0, 1.0)
+    current = (2.0, 5.0, 1.0, 1.0)
     for seed in range(20):
-        out = gibbs_sweep(current, sample, stats, PRIOR, RngState(seed))
-        assert out.sigma2_1 > 0.0 and math.isfinite(out.sigma2_1)
-        assert out.sigma2_2 > 0.0 and math.isfinite(out.sigma2_2)
+        _, _, sigma2_1, sigma2_2 = gibbs_sweep(current, sample, stats, PRIOR, RngState(seed))
+        assert sigma2_1 > 0.0 and math.isfinite(sigma2_1)
+        assert sigma2_2 > 0.0 and math.isfinite(sigma2_2)
 
 
 def test_run_chain_retention_counts():
@@ -150,8 +149,7 @@ def test_pinned_sigma2_mu_matches_conditional(monkeypatch):
     mu2 = np.empty(100_000)
     for i in range(mu1.size):
         current = gibbs_sweep(current, sample, stats, prior, rng)
-        mu1[i] = current.mu1
-        mu2[i] = current.mu2
+        mu1[i], mu2[i] = current[:2]
     for draws, sigma2, n, ybar in [(mu1, pin[0], stats.n1, stats.ybar1),
                                    (mu2, pin[1], stats.n2, stats.ybar2)]:
         b, B = mu_conditional_params(sigma2, n, ybar, prior)

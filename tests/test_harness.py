@@ -37,13 +37,6 @@ def test_unknown_scenario():
         Scenario.named("tiny")
 
 
-def test_custom_scenario():
-    sc = Scenario.custom(0.0, 1.0, 1.0, 1.0)
-    assert sc.true_delta == 1.0
-    with pytest.raises(ValueError):
-        Scenario.custom(0.0, -1.0, 1.0, 1.0)
-
-
 def test_generate_dataset_minimal():
     sample = generate_dataset(Scenario.named("small"), 2, RngState(1))
     assert len(sample) == 4

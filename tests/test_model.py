@@ -9,7 +9,6 @@ from mixtt.harness import Scenario, generate_dataset
 from mixtt.model import (
     GroupedSample,
     IndependencePrior,
-    MixtureDraw,
     PriorPreset,
     compute_sufficient_stats,
     pooled_sd,
@@ -28,6 +27,14 @@ def test_sample_validation():
         GroupedSample([1.0, 2.0], [1, 3])
     with pytest.raises(EmptyGroup):
         GroupedSample([1.0, 2.0], [1, 1])
+
+
+def test_sample_rejects_fractional_allocations():
+    with pytest.raises(ValueError, match=r"\[1\.7, 2\.2\]"):
+        GroupedSample([1.0, 2.0, 3.0], [1.7, 2.2, 1.0])
+    # integer-valued floats are still labels 1 and 2
+    s = GroupedSample([1.0, 2.0, 3.0], [1.0, 2.0, 1.0])
+    assert list(s.group1) == [1.0, 3.0] and list(s.group2) == [2.0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -166,9 +173,3 @@ def test_realize_preset_translation():
     shifted = realize_preset(PriorPreset("wide"), make_sample(g1 + 5.0, g2 + 5.0))
     assert shifted.b0 == pytest.approx(base.b0 + 5.0, rel=1e-12)
     assert shifted.B0 == pytest.approx(base.B0, rel=1e-9)
-
-
-def test_mixture_draw_validation():
-    MixtureDraw(0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(NonPositiveVariance):
-        MixtureDraw(0.0, 0.0, 0.0, 1.0)
