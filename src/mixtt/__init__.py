@@ -10,11 +10,8 @@ error-rate studies.
 """
 
 from .analysis import (
-    DecisionOutcome,
-    EffectSizeDraws,
     HpdInterval,
     PosteriorSummary,
-    RopePartition,
     alpha_decision,
     classify_error,
     cohen_partition,
@@ -59,8 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainConfig",
-    "DecisionOutcome",
-    "EffectSizeDraws",
     "GroupedSample",
     "HpdInterval",
     "IndependencePrior",
@@ -69,7 +64,6 @@ __all__ = [
     "PosteriorSummary",
     "PriorPreset",
     "RngState",
-    "RopePartition",
     "Scenario",
     "StudyConfig",
     "StudyResult",

@@ -1,10 +1,10 @@
-"""Effect-size posterior summaries: HPD intervals, ROPE partitions, decisions.
+"""Effect-size posterior summaries: HPD intervals, ROPE masses, decisions.
 
-Everything here operates on the draws produced by :mod:`mixtt.gibbs`. The
-functions are pure and accept either an :class:`EffectSizeDraws` or any
-one-dimensional array of draws where that is convenient. :func:`summarize`
+Everything here operates on the effect-size draws that
+:func:`effect_size_series` forms from a :mod:`mixtt.gibbs` chain: a
+one-dimensional float array. The functions are pure. :func:`summarize`
 computes the summaries every command reports, and :func:`hpd_decision`
-turns its HPD interval into a decision.
+turns its HPD interval into a decision status string.
 """
 
 from __future__ import annotations
@@ -33,24 +33,6 @@ ERROR_NONE = "none"
 
 
 @dataclass(frozen=True)
-class EffectSizeDraws:
-    """Posterior draws of the standardized mean difference."""
-
-    deltas: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=float)
-        if d.ndim != 1 or d.size == 0:
-            raise ValueError("deltas must be a non-empty one-dimensional array")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("deltas must all be finite")
-        object.__setattr__(self, "deltas", d)
-
-    def __len__(self) -> int:
-        return int(self.deltas.size)
-
-
-@dataclass(frozen=True)
 class HpdInterval:
     """Shortest interval holding at least ``level`` of the draws."""
 
@@ -59,59 +41,7 @@ class HpdInterval:
     upper: float
 
 
-@dataclass(frozen=True)
-class DecisionOutcome:
-    """Region-based decision at credible level ``alpha``.
-
-    ``accepted`` means the HPD interval lies entirely inside the region,
-    ``rejected`` means it lies entirely outside, and ``indeterminate``
-    means it straddles a boundary.
-    """
-
-    status: str
-    alpha: float
-
-
-@dataclass(frozen=True)
-class RopePartition:
-    """Ordered, labeled half-open cells [lower, upper) covering the real line."""
-
-    cells: tuple[tuple[str, float, float], ...]
-
-    def __post_init__(self):
-        if not self.cells:
-            raise ValueError("partition needs at least one cell")
-        if self.cells[0][1] != -math.inf or self.cells[-1][2] != math.inf:
-            raise ValueError("partition must span the whole real line")
-        for (_, lo, hi), (_, nlo, _) in zip(self.cells, self.cells[1:]):
-            if hi != nlo:
-                raise ValueError("cells must be adjacent and ordered")
-        if any(lo >= hi for _, lo, hi in self.cells):
-            raise ValueError("each cell needs lower < upper")
-
-    def locate(self, x: float) -> str:
-        """Label of the cell containing ``x`` (cells are lower-closed, upper-open)."""
-        for label, lo, hi in self.cells:
-            if lo <= x < hi:
-                return label
-        raise AssertionError("unreachable: cells cover the real line")
-
-    def cell_masses(self, deltas) -> dict[str, float]:
-        """Fraction of draws in every cell; the integer counts sum to len(deltas)."""
-        d = _as_deltas(deltas)
-        m = d.size
-        return {
-            label: int(np.count_nonzero((d >= lo) & (d < hi))) / m
-            for label, lo, hi in self.cells
-        }
-
-
-def _as_deltas(draws) -> np.ndarray:
-    d = getattr(draws, "deltas", draws)
-    return np.asarray(d, dtype=float)
-
-
-def effect_size_series(chain: PosteriorChain, direction: str = "g1-g2") -> EffectSizeDraws:
+def effect_size_series(chain: PosteriorChain, direction: str = "g1-g2") -> np.ndarray:
     """Per-draw standardized mean difference.
 
     Each draw i yields (mu1 - mu2) / s with s the pooled standard deviation
@@ -125,12 +55,12 @@ def effect_size_series(chain: PosteriorChain, direction: str = "g1-g2") -> Effec
     deltas = (chain.mu1 - chain.mu2) / s
     if direction == "g2-g1":
         deltas = -deltas
-    return EffectSizeDraws(deltas)
+    return deltas
 
 
-def delta_mpe(draws) -> float:
+def delta_mpe(draws: np.ndarray) -> float:
     """Posterior mean of the effect size."""
-    return float(_as_deltas(draws).mean())
+    return float(draws.mean())
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -144,9 +74,8 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * spread * x.size ** (-0.2)
 
 
-def kde_density(values, grid: np.ndarray) -> np.ndarray:
-    """Gaussian kernel density of ``values`` evaluated on ``grid``."""
-    x = _as_deltas(values)
+def kde_density(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density of the values ``x`` evaluated on ``grid``."""
     h = silverman_bandwidth(x)
     out = np.empty(grid.size)
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
@@ -157,7 +86,7 @@ def kde_density(values, grid: np.ndarray) -> np.ndarray:
     return out * norm
 
 
-def density_grid(draws) -> tuple[np.ndarray, np.ndarray]:
+def density_grid(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel density estimate of the draws on a uniform grid over [min, max].
 
     Returns ``(grid, density)``.
@@ -167,20 +96,19 @@ def density_grid(draws) -> tuple[np.ndarray, np.ndarray]:
     DegenerateDraws
         If all draws are identical (no density estimate exists).
     """
-    d = _as_deltas(draws)
-    if np.all(d == d[0]):
+    if np.all(draws == draws[0]):
         raise DegenerateDraws("all draws identical; no density estimate exists")
-    grid = np.linspace(d.min(), d.max(), _DENSITY_GRID_POINTS)
-    return grid, kde_density(d, grid)
+    grid = np.linspace(draws.min(), draws.max(), _DENSITY_GRID_POINTS)
+    return grid, kde_density(draws, grid)
 
 
-def posterior_mode(draws) -> float:
+def posterior_mode(draws: np.ndarray) -> float:
     """Grid point where :func:`density_grid` peaks."""
     grid, dens = density_grid(draws)
     return float(grid[int(np.argmax(dens))])
 
 
-def hpd_interval(draws, level: float) -> HpdInterval:
+def hpd_interval(draws: np.ndarray, level: float) -> HpdInterval:
     """Shortest contiguous window of sorted draws holding ceil(level * m) of them.
 
     Ties in width resolve to the smallest lower bound; ``level=1`` returns
@@ -193,7 +121,7 @@ def hpd_interval(draws, level: float) -> HpdInterval:
     """
     if not 0.0 < level <= 1.0:
         raise InvalidLevel(f"credible level must be in (0, 1], got {level}")
-    d = np.sort(_as_deltas(draws))
+    d = np.sort(draws)
     m = d.size
     w = math.ceil(level * m)
     if w < 1:
@@ -203,35 +131,36 @@ def hpd_interval(draws, level: float) -> HpdInterval:
     return HpdInterval(level=level, lower=float(d[j]), upper=float(d[j + w - 1]))
 
 
-def cohen_partition() -> RopePartition:
-    """Conventional effect-size categories as a partition of the real line.
+def cohen_partition() -> tuple[tuple[str, float, float], ...]:
+    """Conventional effect-size categories as ``(label, lower, upper)`` cells.
 
-    No-effect region is [-0.2, 0.2); small, medium, and large bands follow
-    on both sides. Every cell is lower-closed and upper-open.
+    The cells are ordered and adjacent and cover the real line. No-effect
+    region is [-0.2, 0.2); small, medium, and large bands follow on both
+    sides. Every cell is lower-closed and upper-open.
     """
     inf = math.inf
-    return RopePartition(
-        (
-            ("large-negative", -inf, -0.8),
-            ("medium-negative", -0.8, -0.5),
-            ("small-negative", -0.5, -0.2),
-            ("none", -0.2, 0.2),
-            ("small", 0.2, 0.5),
-            ("medium", 0.5, 0.8),
-            ("large", 0.8, inf),
-        )
+    return (
+        ("large-negative", -inf, -0.8),
+        ("medium-negative", -0.8, -0.5),
+        ("small-negative", -0.5, -0.2),
+        ("none", -0.2, 0.2),
+        ("small", 0.2, 0.5),
+        ("medium", 0.5, 0.8),
+        ("large", 0.8, inf),
     )
 
 
-def pmp(draws, partition: RopePartition) -> tuple[str, float]:
+def pmp(draws: np.ndarray, cells) -> tuple[str, float]:
     """Posterior mass percentage of the cell containing the posterior mean.
 
-    Returns the cell label and the fraction of draws falling in that cell,
-    the Monte Carlo estimate of the cell's posterior probability.
+    ``cells`` are ``(label, lower, upper)`` triples covering the real line,
+    such as :func:`cohen_partition`. Returns the cell label and the fraction
+    of draws falling in that cell, the Monte Carlo estimate of the cell's
+    posterior probability.
     """
-    d = _as_deltas(draws)
-    label = partition.locate(delta_mpe(d))
-    return label, partition.cell_masses(d)[label]
+    mean = delta_mpe(draws)
+    label, lo, hi = next(cell for cell in cells if cell[1] <= mean < cell[2])
+    return label, int(np.count_nonzero((draws >= lo) & (draws < hi))) / draws.size
 
 
 def normalize_rope(rope) -> tuple[tuple[float, float], ...]:
@@ -247,8 +176,8 @@ def normalize_rope(rope) -> tuple[tuple[float, float], ...]:
     return tuple(sorted(out))
 
 
-def hpd_decision(interval: HpdInterval, rope, strict: bool = False) -> DecisionOutcome:
-    """Decide a region hypothesis from an HPD interval.
+def hpd_decision(interval: HpdInterval, rope, strict: bool = False) -> str:
+    """Decide a region hypothesis from an HPD interval; returns the status.
 
     ``accepted`` if the interval lies inside one rope interval, ``rejected``
     if it intersects none of them, ``indeterminate`` otherwise. Interval
@@ -257,15 +186,13 @@ def hpd_decision(interval: HpdInterval, rope, strict: bool = False) -> DecisionO
     """
     rope = normalize_rope(rope)
     if any(lo <= interval.lower and interval.upper <= hi for lo, hi in rope):
-        status = DECISION_ACCEPTED
-    elif all(interval.upper < lo or hi < interval.lower for lo, hi in rope):
-        status = DECISION_REJECTED
-    else:
-        status = DECISION_REJECTED if strict else DECISION_INDETERMINATE
-    return DecisionOutcome(status=status, alpha=interval.level)
+        return DECISION_ACCEPTED
+    if all(interval.upper < lo or hi < interval.lower for lo, hi in rope):
+        return DECISION_REJECTED
+    return DECISION_REJECTED if strict else DECISION_INDETERMINATE
 
 
-def alpha_decision(draws, rope, alpha: float, strict: bool = False) -> DecisionOutcome:
+def alpha_decision(draws: np.ndarray, rope, alpha: float, strict: bool = False) -> str:
     """:func:`hpd_decision` on the alpha-level HPD interval of ``draws``."""
     return hpd_decision(hpd_interval(draws, alpha), rope, strict)
 
@@ -284,23 +211,22 @@ class PosteriorSummary:
     pmp_value: float
 
 
-def summarize(draws, alpha: float) -> PosteriorSummary:
+def summarize(draws: np.ndarray, alpha: float) -> PosteriorSummary:
     """Posterior mean, alpha-level HPD and Cohen-partition PMP of the draws."""
-    d = _as_deltas(draws)
-    label, mass = pmp(d, cohen_partition())
-    return PosteriorSummary(delta_mpe(d), hpd_interval(d, alpha), label, mass)
+    label, mass = pmp(draws, cohen_partition())
+    return PosteriorSummary(delta_mpe(draws), hpd_interval(draws, alpha), label, mass)
 
 
-def classify_error(true_delta: float, rope, outcome: DecisionOutcome) -> str:
-    """Classify a decision against the known true effect size.
+def classify_error(true_delta: float, rope, status: str) -> str:
+    """Classify a decision status against the known true effect size.
 
     Rejecting when the rope contains the truth is a type-I error; accepting
     when it does not is a type-II error.
     """
     rope = normalize_rope(rope)
     in_rope = any(lo <= true_delta <= hi for lo, hi in rope)
-    if in_rope and outcome.status == DECISION_REJECTED:
+    if in_rope and status == DECISION_REJECTED:
         return ERROR_TYPE_I
-    if not in_rope and outcome.status == DECISION_ACCEPTED:
+    if not in_rope and status == DECISION_ACCEPTED:
         return ERROR_TYPE_II
     return ERROR_NONE

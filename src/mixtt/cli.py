@@ -17,7 +17,7 @@ from .analysis import effect_size_series, hpd_decision, posterior_mode, summariz
 from .errors import MixttError
 from .gibbs import ChainConfig, run_chain
 from .harness import SCENARIO_KINDS, Scenario, StudyConfig, prior_sensitivity, run_study
-from .model import IndependencePrior, PriorPreset, realize_preset
+from .model import GroupedSample, IndependencePrior, PriorPreset, realize_preset
 from .reports import (
     AnalysisReport,
     chain_summary_dict,
@@ -49,11 +49,22 @@ def _parse_rope(text: str) -> tuple[tuple[float, float], ...]:
     return ((lo, hi),)
 
 
+def _parse_alpha(text: str) -> float:
+    try:
+        alpha = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < alpha <= 1.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"credible level must be in (0, 1], got {text!r}")
+    return alpha
+
+
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS, help="total sweeps per chain")
     p.add_argument("--burnin", type=int, default=DEFAULT_BURN_IN, help="sweeps discarded up front")
     p.add_argument("--seed", type=int, required=True, help="master seed; required, no wall-clock fallback")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="credible level for HPD and decisions")
+    p.add_argument("--alpha", type=_parse_alpha, default=DEFAULT_ALPHA,
+                   help="credible level for HPD and decisions")
 
 
 def _add_rope_flag(p: argparse.ArgumentParser) -> None:
@@ -75,13 +86,14 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--C0", type=float, default=None, help="custom inverse-gamma scale for the variances")
 
 
-def _preset_from_args(args: argparse.Namespace) -> PriorPreset:
+def _prior_from_args(args: argparse.Namespace, sample: GroupedSample) -> tuple[IndependencePrior, str]:
+    """The prior for ``analyze`` and the preset name its report gives it."""
     custom = (args.b0, args.B0, args.c0, args.C0)
     if all(v is None for v in custom):
-        return PriorPreset(args.prior)
+        return realize_preset(PriorPreset(args.prior), sample), args.prior
     if any(v is None for v in custom):
         raise MixttError("a custom prior needs all four of --b0 --B0 --c0 --C0")
-    return PriorPreset("custom", IndependencePrior(*custom))
+    return IndependencePrior(*custom), "custom"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_analyze(args: argparse.Namespace) -> None:
     sample = read_sample_csv(args.input)
-    preset = _preset_from_args(args)
-    prior = realize_preset(preset, sample)
+    prior, preset_kind = _prior_from_args(args, sample)
+    welch = welch_t_test(sample)  # fails on a one-row group before any chain runs
     chain = run_chain(sample, ChainConfig(args.iters, args.burnin, args.seed, prior))
     deltas = effect_size_series(chain, direction=args.direction)
     summary = summarize(deltas, args.alpha)
@@ -133,12 +145,12 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         summary=summary,
         delta_mode=posterior_mode(deltas),
         decision=hpd_decision(summary.hpd, args.rope, strict=args.strict_decision),
-        welch=welch_t_test(sample),
+        welch=welch,
         iterations=args.iters,
         burn_in=args.burnin,
         seed=args.seed,
         prior=prior,
-        preset_kind=preset.kind,
+        preset_kind=preset_kind,
         direction=args.direction,
         rope=args.rope,
         strict=args.strict_decision,

@@ -47,7 +47,7 @@ SCENARIO_KINDS = tuple(_SCENARIOS)
 
 # stream index per preset kind, so rerunning the same preset reuses the same
 # seed and matched-seed comparisons across presets stay matched
-_PRESET_STREAM = {"wide": 0, "medium": 1, "narrow": 2, "custom": 3}
+_PRESET_STREAM = {"wide": 0, "medium": 1, "narrow": 2}
 
 DEFAULT_ROPE = ((-0.2, 0.2),)
 
@@ -164,7 +164,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     parallel runner) produces identical records.
 
     Decisions are recorded in both the three-valued form and the strict
-    two-valued form. Error classification uses the three-valued outcome,
+    two-valued form. Error classification uses the three-valued decision,
     where a rejection means the HPD interval lies entirely outside the
     rope; an interval that merely straddles the boundary is indeterminate,
     not a false positive.
@@ -179,15 +179,15 @@ def run_study(config: StudyConfig) -> StudyResult:
         seed = derive_seed(dataset_seed, 1)
         chain = run_chain(sample, ChainConfig(config.iterations, config.burn_in, seed, prior))
         summary = summarize(effect_size_series(chain, direction="g2-g1"), config.alpha)
-        outcome = hpd_decision(summary.hpd, config.rope)
+        decision = hpd_decision(summary.hpd, config.rope)
         records.append(
             DatasetRecord(
                 index=i,
                 dataset_seed=dataset_seed,
                 summary=summary,
-                decision=outcome.status,
-                strict_decision=hpd_decision(summary.hpd, config.rope, strict=True).status,
-                error=classify_error(sc.true_delta, config.rope, outcome),
+                decision=decision,
+                strict_decision=hpd_decision(summary.hpd, config.rope, strict=True),
+                error=classify_error(sc.true_delta, config.rope, decision),
                 welch_p=welch_t_test(sample).p_value,
             )
         )

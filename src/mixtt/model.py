@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateData, EmptyGroup, InsufficientSize, NonPositiveParameter, NonPositiveVariance
 
-PRESET_KINDS = ("wide", "medium", "narrow", "custom")
+PRESET_KINDS = ("wide", "medium", "narrow")
 
 
 class GroupedSample:
@@ -27,7 +27,8 @@ class GroupedSample:
     allocations : array-like of int
         Group identifier (1 or 2) for each observation.
 
-    Both sequences must have equal length, every value must be finite, and
+    Both sequences must have equal length, every value must be finite, the
+    sum of squared deviations about the pooled mean must not overflow, and
     each group must be non-empty.
     Instances are immutable by convention; do not mutate the arrays.
     """
@@ -54,6 +55,11 @@ class GroupedSample:
         self.group2 = v[a == 2]
         if self.group1.size == 0 or self.group2.size == 0:
             raise EmptyGroup("both groups need at least one observation")
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            dev = v - v.mean()
+            ssd = dev @ dev
+        if not np.isfinite(ssd):
+            raise ValueError("values too large: their sum of squared deviations overflows")
 
     @classmethod
     def from_labels(cls, values, labels) -> "GroupedSample":
@@ -120,18 +126,14 @@ class IndependencePrior:
 class PriorPreset:
     """A named prior recipe, realized against the data by :func:`realize_preset`.
 
-    ``wide``, ``medium``, and ``narrow`` scale with the pooled sample moments;
-    ``custom`` carries an explicit :class:`IndependencePrior` through unchanged.
+    ``wide``, ``medium``, and ``narrow`` scale with the pooled sample moments.
     """
 
     kind: str
-    custom: IndependencePrior | None = None
 
     def __post_init__(self):
         if self.kind not in PRESET_KINDS:
             raise ValueError(f"unknown preset kind {self.kind!r}; expected one of {PRESET_KINDS}")
-        if (self.kind == "custom") != (self.custom is not None):
-            raise ValueError("custom prior hyperparameters go with kind='custom' and only with it")
 
 
 def compute_sufficient_stats(sample: GroupedSample) -> SufficientStats:
@@ -172,11 +174,8 @@ def realize_preset(preset: PriorPreset, sample: GroupedSample) -> IndependencePr
     Raises
     ------
     DegenerateData
-        If the pooled sample variance is zero and the preset is not custom.
+        If the pooled sample variance is zero.
     """
-    if preset.kind == "custom":
-        assert preset.custom is not None
-        return preset.custom
     xbar = float(sample.values.mean())
     s2 = float(sample.values.var(ddof=1))
     if s2 <= 0.0:

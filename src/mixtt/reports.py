@@ -14,14 +14,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import (
-    DecisionOutcome,
-    EffectSizeDraws,
-    HpdInterval,
-    PosteriorSummary,
-    cohen_partition,
-    density_grid,
-)
+import numpy as np
+
+from .analysis import HpdInterval, PosteriorSummary, cohen_partition, density_grid
 from .errors import ParseError
 from .gibbs import PosteriorChain
 from .harness import PresetSummary, StudyResult
@@ -42,7 +37,7 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
     """
     values: list[float] = []
     labels: list[str] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # tolerates a UTF-8 BOM
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -77,7 +72,7 @@ class AnalysisReport:
 
     summary: PosteriorSummary
     delta_mode: float
-    decision: DecisionOutcome
+    decision: str
     welch: WelchResult
     iterations: int
     burn_in: int
@@ -99,8 +94,8 @@ class AnalysisReport:
                 "delta_mode": self.delta_mode,
                 "esr": {"lower": hpd.lower, "upper": hpd.upper},
                 "decision": {
-                    "status": self.decision.status,
-                    "alpha": self.decision.alpha,
+                    "status": self.decision,
+                    "alpha": hpd.level,
                     "strict": self.strict,
                 },
                 "welch": {
@@ -226,7 +221,7 @@ def write_json(obj: dict, path: str | Path) -> None:
         fh.write("\n")
 
 
-def write_plot_data(deltas: EffectSizeDraws, hpd: HpdInterval, path: str | Path) -> None:
+def write_plot_data(deltas: np.ndarray, hpd: HpdInterval, path: str | Path) -> None:
     """Write the effect-size density plus annotation rows as ``kind,x,y`` CSV.
 
     Density rows hold the :func:`~mixtt.analysis.density_grid` points and
@@ -246,7 +241,7 @@ def write_plot_data(deltas: EffectSizeDraws, hpd: HpdInterval, path: str | Path)
             writer.writerow(["density", repr(float(x)), repr(float(y))])
         writer.writerow(["hpd_lower", repr(hpd.lower), ""])
         writer.writerow(["hpd_upper", repr(hpd.upper), ""])
-        for _, lo, _ in cohen_partition().cells:
+        for _, lo, _ in cohen_partition():
             if math.isfinite(lo):
                 writer.writerow(["rope_boundary", repr(lo), ""])
 

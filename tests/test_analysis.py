@@ -11,9 +11,6 @@ from mixtt.analysis import (
     ERROR_NONE,
     ERROR_TYPE_I,
     ERROR_TYPE_II,
-    DecisionOutcome,
-    EffectSizeDraws,
-    RopePartition,
     alpha_decision,
     classify_error,
     cohen_partition,
@@ -38,25 +35,25 @@ def chain_of(mu1, mu2, s1, s2, n1=10, n2=10):
 
 def test_effect_size_unit_pooled_sd():
     draws = effect_size_series(chain_of([1.0], [0.0], [1.0], [1.0]))
-    assert draws.deltas[0] == 1.0
+    assert draws[0] == 1.0
 
 
 def test_effect_size_equal_means_is_zero():
     draws = effect_size_series(chain_of([2.5], [2.5], [0.7], [3.1]))
-    assert draws.deltas[0] == 0.0
+    assert draws[0] == 0.0
 
 
 def test_effect_size_medium_scenario_value():
     chain = chain_of([255.84], [254.08], [3.04**2], [2.36**2], n1=7, n2=7)
-    assert abs(effect_size_series(chain).deltas[0]) == pytest.approx(0.6467, abs=1e-4)
+    assert abs(effect_size_series(chain)[0]) == pytest.approx(0.6467, abs=1e-4)
     # frozen hand value of the same expression
-    assert effect_size_series(chain).deltas[0] == pytest.approx(0.6467441997007768, rel=1e-12)
+    assert effect_size_series(chain)[0] == pytest.approx(0.6467441997007768, rel=1e-12)
 
 
 def test_effect_size_direction_flag():
     chain = chain_of([1.0, 2.0], [0.0, 0.5], [1.0, 1.0], [1.0, 1.0])
-    fwd = effect_size_series(chain, direction="g1-g2").deltas
-    rev = effect_size_series(chain, direction="g2-g1").deltas
+    fwd = effect_size_series(chain, direction="g1-g2")
+    rev = effect_size_series(chain, direction="g2-g1")
     np.testing.assert_array_equal(fwd, -rev)
     with pytest.raises(ValueError):
         effect_size_series(chain, direction="sideways")
@@ -68,15 +65,8 @@ def test_effect_size_requires_three_observations():
 
 
 def test_delta_mpe():
-    assert delta_mpe(EffectSizeDraws(np.array([0.1, 0.2, 0.3]))) == pytest.approx(0.2)
-    assert delta_mpe(EffectSizeDraws(np.array([0.7]))) == 0.7
-
-
-def test_effect_size_draws_validation():
-    with pytest.raises(ValueError):
-        EffectSizeDraws(np.array([]))
-    with pytest.raises(ValueError):
-        EffectSizeDraws(np.array([1.0, np.inf]))
+    assert delta_mpe(np.array([0.1, 0.2, 0.3])) == pytest.approx(0.2)
+    assert delta_mpe(np.array([0.7])) == 0.7
 
 
 def test_posterior_mode_symmetric():
@@ -149,31 +139,17 @@ def test_hpd_matches_enumeration_oracle():
 
 
 def test_cohen_partition_cells():
-    part = cohen_partition()
-    assert part.locate(0.0) == "none"
-    assert part.locate(0.5) == "medium"  # boundaries are lower-closed
-    assert part.locate(-0.35) == "small-negative"
-    assert part.locate(0.2) == "small"
-    assert part.locate(-0.8) == "medium-negative"
-    assert part.locate(100.0) == "large"
-    assert part.locate(-100.0) == "large-negative"
-
-
-def test_partition_validation():
-    inf = math.inf
-    with pytest.raises(ValueError):
-        RopePartition((("a", -inf, 0.0), ("b", 0.5, inf)))  # gap
-    with pytest.raises(ValueError):
-        RopePartition((("a", -1.0, 0.0), ("b", 0.0, 1.0)))  # finite ends
-
-
-def test_partition_masses_cover_everything():
-    rng = np.random.default_rng(12)
-    draws = rng.normal(0, 2, 5001)
-    masses = cohen_partition().cell_masses(draws)
-    counts = [round(v * draws.size) for v in masses.values()]
-    assert sum(counts) == draws.size
-    assert math.fsum(masses.values()) == pytest.approx(1.0, abs=1e-12)
+    cells = cohen_partition()
+    # two equal draws keep the mean exactly x (three copies of -0.8 average
+    # to -0.8000000000000002, which lies in the cell below)
+    cell_of = lambda x: pmp(np.full(2, x), cells)
+    assert cell_of(0.0) == ("none", 1.0)
+    assert cell_of(0.5) == ("medium", 1.0)  # boundaries are lower-closed
+    assert cell_of(-0.35) == ("small-negative", 1.0)
+    assert cell_of(0.2) == ("small", 1.0)
+    assert cell_of(-0.8) == ("medium-negative", 1.0)
+    assert cell_of(100.0) == ("large", 1.0)
+    assert cell_of(-100.0) == ("large-negative", 1.0)
 
 
 def test_pmp_examples():
@@ -206,21 +182,17 @@ def test_sign_flip_negates_mpe_and_mirrors_hpd():
 
 def test_alpha_decision_containment_cases():
     rope = (-0.2, 0.2)
-    accepted = alpha_decision(np.linspace(0.0, 0.1, 50), rope, 1.0)
-    assert accepted.status == DECISION_ACCEPTED
-    rejected = alpha_decision(np.linspace(0.3, 0.5, 50), rope, 1.0)
-    assert rejected.status == DECISION_REJECTED
-    partial = alpha_decision(np.linspace(0.1, 0.3, 50), rope, 1.0)
-    assert partial.status == DECISION_INDETERMINATE
-    strict = alpha_decision(np.linspace(0.1, 0.3, 50), rope, 1.0, strict=True)
-    assert strict.status == DECISION_REJECTED
+    assert alpha_decision(np.linspace(0.0, 0.1, 50), rope, 1.0) == DECISION_ACCEPTED
+    assert alpha_decision(np.linspace(0.3, 0.5, 50), rope, 1.0) == DECISION_REJECTED
+    assert alpha_decision(np.linspace(0.1, 0.3, 50), rope, 1.0) == DECISION_INDETERMINATE
+    assert alpha_decision(np.linspace(0.1, 0.3, 50), rope, 1.0, strict=True) == DECISION_REJECTED
 
 
 def test_alpha_decision_union_rope():
     rope = ((-0.5, -0.2), (0.2, 0.5))
-    assert alpha_decision(np.linspace(0.25, 0.45, 40), rope, 1.0).status == DECISION_ACCEPTED
-    assert alpha_decision(np.linspace(-0.1, 0.1, 40), rope, 1.0).status == DECISION_REJECTED
-    assert alpha_decision(np.linspace(-0.3, 0.3, 40), rope, 1.0).status == DECISION_INDETERMINATE
+    assert alpha_decision(np.linspace(0.25, 0.45, 40), rope, 1.0) == DECISION_ACCEPTED
+    assert alpha_decision(np.linspace(-0.1, 0.1, 40), rope, 1.0) == DECISION_REJECTED
+    assert alpha_decision(np.linspace(-0.3, 0.3, 40), rope, 1.0) == DECISION_INDETERMINATE
 
 
 def test_alpha_decision_invalid_level():
@@ -230,14 +202,11 @@ def test_alpha_decision_invalid_level():
 
 def test_classify_error_definitions():
     rope = (-0.2, 0.2)
-    rejected = DecisionOutcome(DECISION_REJECTED, 0.95)
-    accepted = DecisionOutcome(DECISION_ACCEPTED, 0.95)
-    indeterminate = DecisionOutcome(DECISION_INDETERMINATE, 0.95)
-    assert classify_error(0.0, rope, rejected) == ERROR_TYPE_I
-    assert classify_error(1.03, rope, accepted) == ERROR_TYPE_II
-    assert classify_error(0.0, rope, accepted) == ERROR_NONE
-    assert classify_error(0.0, rope, indeterminate) == ERROR_NONE
-    assert classify_error(1.03, rope, rejected) == ERROR_NONE
+    assert classify_error(0.0, rope, DECISION_REJECTED) == ERROR_TYPE_I
+    assert classify_error(1.03, rope, DECISION_ACCEPTED) == ERROR_TYPE_II
+    assert classify_error(0.0, rope, DECISION_ACCEPTED) == ERROR_NONE
+    assert classify_error(0.0, rope, DECISION_INDETERMINATE) == ERROR_NONE
+    assert classify_error(1.03, rope, DECISION_REJECTED) == ERROR_NONE
 
 
 def test_mode_matches_kitchen_sink_chain():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mixtt.analysis import EffectSizeDraws, HpdInterval
+from mixtt.analysis import HpdInterval
 from mixtt.cli import main
 from mixtt.distributions import RngState, sample_normal
 from mixtt.errors import DegenerateDraws
@@ -97,7 +97,7 @@ def test_delta_mode_is_plot_density_peak(data_csv, tmp_path):
 def test_plot_data_rejects_constant_draws(tmp_path, value):
     # 1.0 gives an sd of exactly 0; 0.3 gives a rounding-sized sd and a
     # bandwidth near 1e-17, which would make a spike instead of an error
-    draws = EffectSizeDraws(np.full(50, value))
+    draws = np.full(50, value)
     with pytest.raises(DegenerateDraws):
         write_plot_data(draws, HpdInterval(0.95, value, value), tmp_path / "plot.csv")
 
@@ -182,6 +182,27 @@ def test_extra_columns_rejected_with_line_number(tmp_path, capsys, text, line):
     assert line in capsys.readouterr().err
 
 
+def test_utf8_bom_is_accepted(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    path = tmp_path / "bom.csv"
+    path.write_text("value,group\n1.0,a\n2.5,b\n1.5,a\n3.0,b\n0.5,a\n", encoding="utf-8-sig")
+    out = tmp_path / "r.json"
+    rc = run_cli("analyze", "--input", path, "--output", out, "--seed", 1,
+                 "--iters", 300, "--burnin", 100)
+    assert rc == 0
+    assert json.loads(out.read_text())["input"] == {"n1": 3, "n2": 2}
+
+
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+def test_overflowing_values_rejected(tmp_path, capsys, command):
+    path = tmp_path / "huge.csv"
+    path.write_text("value,group\n1e200,a\n2e200,a\n1.0,b\n3.0,b\n")
+    rc = run_cli(command, "--input", path, "--output", tmp_path / "r.json", "--seed", 1,
+                 "--iters", 300, "--burnin", 100)
+    assert rc == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_bad_header_rejected(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("amount,arm\n1.0,a\n2.0,b\n")
@@ -258,6 +279,40 @@ def test_sensitivity_single_preset_fails(data_csv, tmp_path, capsys):
                  "--output", tmp_path / "s.json")
     assert rc != 0
     assert "two presets" in capsys.readouterr().err
+
+
+def test_sensitivity_unknown_preset_is_named(data_csv, tmp_path, capsys):
+    rc = run_cli("sensitivity", "--input", data_csv, "--seed", 4, "--presets", "wide,custom",
+                 "--output", tmp_path / "s.json")
+    assert rc == 2
+    assert "unknown preset kind 'custom'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra, rows",
+    [
+        ("analyze", ["--alpha", "1.5"], None),
+        ("analyze", ["--alpha", "nan"], None),
+        ("sensitivity", ["--alpha", "0"], None),
+        ("analyze", [], "1.0,a\n2.0,b\n3.5,b\n2.5,b\n"),
+    ],
+    ids=["analyze-alpha-above-one", "analyze-alpha-nan", "sensitivity-alpha-zero", "one-row-group"],
+)
+def test_bad_arguments_fail_before_any_chain(data_csv, tmp_path, monkeypatch, command, extra, rows):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was started")
+
+    monkeypatch.setattr("mixtt.cli.run_chain", no_chain)
+    monkeypatch.setattr("mixtt.harness.run_chain", no_chain)
+    data = data_csv
+    if rows is not None:
+        data = tmp_path / "in.csv"
+        data.write_text("value,group\n" + rows)
+    try:
+        rc = run_cli(command, "--input", data, "--output", tmp_path / "r.json", "--seed", 1, *extra)
+    except SystemExit as exc:  # argparse rejects a bad flag value with status 2
+        rc = exc.code
+    assert rc == 2
 
 
 def test_sensitivity_has_no_rope_flag(data_csv, tmp_path):

@@ -174,8 +174,8 @@ def test_translation_equivariance_wide_preset():
 
     from mixtt.analysis import effect_size_series
 
-    d_base = effect_size_series(base).deltas
-    d_moved = effect_size_series(moved).deltas
+    d_base = effect_size_series(base)
+    d_moved = effect_size_series(moved)
     np.testing.assert_allclose(d_moved, d_base, rtol=1e-9, atol=1e-12)
 
 
