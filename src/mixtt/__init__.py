@@ -35,7 +35,6 @@ from .gibbs import ChainConfig, PosteriorChain, gibbs_sweep, run_chain
 from .harness import (
     Scenario,
     StudyConfig,
-    StudyResult,
     generate_dataset,
     prior_sensitivity,
     run_study,
@@ -66,7 +65,6 @@ __all__ = [
     "RngState",
     "Scenario",
     "StudyConfig",
-    "StudyResult",
     "SufficientStats",
     "WelchResult",
     "alpha_decision",

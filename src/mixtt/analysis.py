@@ -59,8 +59,12 @@ def effect_size_series(chain: PosteriorChain, direction: str = "g1-g2") -> np.nd
 
 
 def delta_mpe(draws: np.ndarray) -> float:
-    """Posterior mean of the effect size."""
-    return float(draws.mean())
+    """Posterior mean of the effect size.
+
+    The float mean is clamped to [min, max], where the exact mean lies, so
+    rounding cannot carry it across a cell bound that all draws sit on.
+    """
+    return float(min(max(draws.mean(), draws.min()), draws.max()))
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:

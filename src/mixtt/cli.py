@@ -13,14 +13,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import effect_size_series, hpd_decision, posterior_mode, summarize
+from .analysis import DIRECTIONS, effect_size_series, hpd_decision, posterior_mode, summarize
 from .errors import MixttError
 from .gibbs import ChainConfig, run_chain
-from .harness import SCENARIO_KINDS, Scenario, StudyConfig, prior_sensitivity, run_study
-from .model import GroupedSample, IndependencePrior, PriorPreset, realize_preset
+from .harness import (
+    DEFAULT_ALPHA,
+    DEFAULT_BURN_IN,
+    DEFAULT_ITERATIONS,
+    DEFAULT_ROPE,
+    DIRECTION,
+    SCENARIO_KINDS,
+    Scenario,
+    StudyConfig,
+    prior_sensitivity,
+    run_study,
+)
+from .model import PRESET_KINDS, GroupedSample, IndependencePrior, PriorPreset, realize_preset
 from .reports import (
-    AnalysisReport,
-    chain_summary_dict,
+    analysis_dict,
     read_sample_csv,
     sensitivity_dict,
     study_result_dict,
@@ -28,12 +38,6 @@ from .reports import (
     write_plot_data,
 )
 from .welch import welch_t_test
-
-DEFAULT_ITERATIONS = 10_000
-DEFAULT_BURN_IN = 5_000
-DEFAULT_ALPHA = 0.95
-DEFAULT_ROPE = "-0.2,0.2"
-DEFAULT_DIRECTION = "g2-g1"
 
 
 def _parse_rope(text: str) -> tuple[tuple[float, float], ...]:
@@ -71,14 +75,14 @@ def _add_rope_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--rope",
         type=_parse_rope,
-        default=_parse_rope(DEFAULT_ROPE),
+        default=DEFAULT_ROPE,
         metavar="LO,HI",
         help="no-effect region for decisions (use --rope=LO,HI for negative bounds)",
     )
 
 
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior", choices=("wide", "medium", "narrow"), default="wide",
+    p.add_argument("--prior", choices=PRESET_KINDS, default="wide",
                    help="data-scaled prior preset")
     p.add_argument("--b0", type=float, default=None, help="custom prior mean of the group means")
     p.add_argument("--B0", type=float, default=None, help="custom prior variance of the group means")
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--input", required=True, help="CSV file with a value,group header")
     p_an.add_argument("--output", required=True, help="where to write the JSON report")
     p_an.add_argument("--plot-data", default=None, help="also write a kind,x,y density CSV here")
-    p_an.add_argument("--direction", choices=("g1-g2", "g2-g1"), default=DEFAULT_DIRECTION,
+    p_an.add_argument("--direction", choices=DIRECTIONS, default=DIRECTION,
                       help="sign convention for the reported effect size")
     p_an.add_argument("--strict-decision", action="store_true",
                       help="collapse boundary-straddling decisions into rejections")
@@ -122,12 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", required=True, help="where to write the JSON study result")
     _add_chain_flags(p_sim)
     _add_rope_flag(p_sim)
-    p_sim.add_argument("--prior", choices=("wide", "medium", "narrow"), default="wide")
+    p_sim.add_argument("--prior", choices=PRESET_KINDS, default="wide")
 
     p_sen = sub.add_parser("sensitivity", help="compare prior presets on the same data")
     p_sen.add_argument("--input", required=True, help="CSV file with a value,group header")
     p_sen.add_argument("--output", required=True, help="where to write the JSON comparison")
-    p_sen.add_argument("--presets", default="wide,medium,narrow",
+    p_sen.add_argument("--presets", default=",".join(PRESET_KINDS),
                        help="comma-separated preset names (at least two)")
     _add_chain_flags(p_sen)
 
@@ -138,27 +142,16 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     sample = read_sample_csv(args.input)
     prior, preset_kind = _prior_from_args(args, sample)
     welch = welch_t_test(sample)  # fails on a one-row group before any chain runs
-    chain = run_chain(sample, ChainConfig(args.iters, args.burnin, args.seed, prior))
+    config = ChainConfig(args.iters, args.burnin, args.seed, prior)
+    chain = run_chain(sample, config)
     deltas = effect_size_series(chain, direction=args.direction)
     summary = summarize(deltas, args.alpha)
-    report = AnalysisReport(
-        summary=summary,
-        delta_mode=posterior_mode(deltas),
-        decision=hpd_decision(summary.hpd, args.rope, strict=args.strict_decision),
-        welch=welch,
-        iterations=args.iters,
-        burn_in=args.burnin,
-        seed=args.seed,
-        prior=prior,
-        preset_kind=preset_kind,
-        direction=args.direction,
-        rope=args.rope,
-        strict=args.strict_decision,
-        n1=sample.n1,
-        n2=sample.n2,
-        parameter_summary=chain_summary_dict(chain),
+    report = analysis_dict(
+        config, chain, summary, posterior_mode(deltas),
+        hpd_decision(summary.hpd, args.rope, strict=args.strict_decision), welch,
+        preset_kind, args.direction, args.rope, args.strict_decision,
     )
-    write_json(report.to_dict(), args.output)
+    write_json(report, args.output)
     if args.plot_data is not None:
         write_plot_data(deltas, summary.hpd, args.plot_data)
 
@@ -175,7 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         alpha=args.alpha,
         rope=args.rope,
     )
-    write_json(study_result_dict(run_study(config)), args.output)
+    write_json(study_result_dict(config, run_study(config)), args.output)
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> None:

@@ -14,14 +14,9 @@ sqrt((sd1^2 + sd2^2) / 2); for balanced groups the two denominators agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analysis import (
-    DECISION_ACCEPTED,
-    DECISION_INDETERMINATE,
-    DECISION_REJECTED,
-    ERROR_TYPE_I,
-    ERROR_TYPE_II,
     PosteriorSummary,
     classify_error,
     effect_size_series,
@@ -32,7 +27,7 @@ from .analysis import (
 from .errors import ConfigInvalid, InsufficientSize, UnknownScenario
 from .distributions import RngState, derive_seed, sample_normal
 from .gibbs import ChainConfig, run_chain
-from .model import GroupedSample, IndependencePrior, PriorPreset, realize_preset
+from .model import PRESET_KINDS, GroupedSample, IndependencePrior, PriorPreset, realize_preset
 from .welch import welch_t_test
 
 # second parameters are standard deviations
@@ -45,11 +40,13 @@ _SCENARIOS: dict[str, tuple[float, float, float, float]] = {
 
 SCENARIO_KINDS = tuple(_SCENARIOS)
 
-# stream index per preset kind, so rerunning the same preset reuses the same
-# seed and matched-seed comparisons across presets stay matched
-_PRESET_STREAM = {"wide": 0, "medium": 1, "narrow": 2}
-
+# run defaults shared by the library entry points and the CLI flags
+DEFAULT_ITERATIONS = 10_000
+DEFAULT_BURN_IN = 5_000
+DEFAULT_ALPHA = 0.95
 DEFAULT_ROPE = ((-0.2, 0.2),)
+# sign convention of every study and sensitivity effect size, and analyze's default
+DIRECTION = "g2-g1"
 
 
 def scenario_params(kind: str) -> tuple[float, float, float, float, float]:
@@ -97,10 +94,10 @@ class StudyConfig:
     n_per_group: int
     n_datasets: int
     master_seed: int
-    iterations: int = 10_000
-    burn_in: int = 5_000
+    iterations: int = DEFAULT_ITERATIONS
+    burn_in: int = DEFAULT_BURN_IN
     preset: PriorPreset = PriorPreset("wide")
-    alpha: float = 0.95
+    alpha: float = DEFAULT_ALPHA
     rope: tuple[tuple[float, float], ...] = DEFAULT_ROPE
 
     def __post_init__(self):
@@ -124,44 +121,13 @@ class DatasetRecord:
     welch_p: float
 
 
-@dataclass(frozen=True)
-class StudyResult:
-    """Per-dataset records plus aggregate rates for a whole study."""
-
-    config: StudyConfig
-    records: tuple[DatasetRecord, ...]
-    type_i_rate: float = field(init=False)
-    type_ii_rate: float = field(init=False)
-    accepted_count: int = field(init=False)
-    rejected_count: int = field(init=False)
-    indeterminate_count: int = field(init=False)
-    mean_delta_mpe: float = field(init=False)
-    welch_rejection_rate: float = field(init=False)
-
-    def __post_init__(self):
-        n = len(self.records)
-        if n != self.config.n_datasets:
-            raise ConfigInvalid(f"expected {self.config.n_datasets} records, got {n}")
-        set_ = object.__setattr__
-        set_(self, "type_i_rate", sum(r.error == ERROR_TYPE_I for r in self.records) / n)
-        set_(self, "type_ii_rate", sum(r.error == ERROR_TYPE_II for r in self.records) / n)
-        set_(self, "accepted_count", sum(r.decision == DECISION_ACCEPTED for r in self.records))
-        set_(self, "rejected_count", sum(r.decision == DECISION_REJECTED for r in self.records))
-        set_(
-            self,
-            "indeterminate_count",
-            sum(r.decision == DECISION_INDETERMINATE for r in self.records),
-        )
-        set_(self, "mean_delta_mpe", sum(r.summary.delta_mpe for r in self.records) / n)
-        set_(self, "welch_rejection_rate", sum(r.welch_p < 0.05 for r in self.records) / n)
-
-
-def run_study(config: StudyConfig) -> StudyResult:
+def run_study(config: StudyConfig) -> tuple[DatasetRecord, ...]:
     """Simulate, fit, and summarize ``n_datasets`` independent datasets.
 
-    Dataset i derives its seed from (master_seed, i): one child stream for
-    data generation and one for the chain, so any execution order (or a
-    parallel runner) produces identical records.
+    Returns one record per dataset, in index order. Dataset i derives its
+    seed from (master_seed, i): one child stream for data generation and
+    one for the chain, so any execution order (or a parallel runner)
+    produces identical records.
 
     Decisions are recorded in both the three-valued form and the strict
     two-valued form. Error classification uses the three-valued decision,
@@ -178,7 +144,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         prior = realize_preset(config.preset, sample)
         seed = derive_seed(dataset_seed, 1)
         chain = run_chain(sample, ChainConfig(config.iterations, config.burn_in, seed, prior))
-        summary = summarize(effect_size_series(chain, direction="g2-g1"), config.alpha)
+        summary = summarize(effect_size_series(chain, direction=DIRECTION), config.alpha)
         decision = hpd_decision(summary.hpd, config.rope)
         records.append(
             DatasetRecord(
@@ -191,7 +157,7 @@ def run_study(config: StudyConfig) -> StudyResult:
                 welch_p=welch_t_test(sample).p_value,
             )
         )
-    return StudyResult(config=config, records=tuple(records))
+    return tuple(records)
 
 
 @dataclass(frozen=True)
@@ -208,25 +174,26 @@ def prior_sensitivity(
     sample: GroupedSample,
     presets,
     base_seed: int,
-    iterations: int = 10_000,
-    burn_in: int = 5_000,
-    alpha: float = 0.95,
+    iterations: int = DEFAULT_ITERATIONS,
+    burn_in: int = DEFAULT_BURN_IN,
+    alpha: float = DEFAULT_ALPHA,
 ) -> tuple[list[PresetSummary], dict[tuple[str, str], float]]:
     """Fit the same data once per preset and compare the posterior means.
 
-    Chain seeds derive from (base_seed, preset kind), so repeating a preset
-    reproduces its summary exactly and cross-preset differences are not
-    confounded by different random streams for the same kind.
+    Chain seeds derive from base_seed and the kind's index in
+    :data:`~mixtt.model.PRESET_KINDS`, so repeating a preset reproduces its
+    summary exactly and cross-preset differences are not confounded by
+    different random streams for the same kind.
     """
     presets = list(presets)
     if len(presets) < 2:
         raise ConfigInvalid("at least two presets required for a sensitivity comparison")
     summaries = []
     for preset in presets:
-        seed = derive_seed(base_seed, _PRESET_STREAM[preset.kind])
+        seed = derive_seed(base_seed, PRESET_KINDS.index(preset.kind))
         prior = realize_preset(preset, sample)
         chain = run_chain(sample, ChainConfig(iterations, burn_in, seed, prior))
-        summary = summarize(effect_size_series(chain, direction="g2-g1"), alpha)
+        summary = summarize(effect_size_series(chain, direction=DIRECTION), alpha)
         summaries.append(PresetSummary(preset, prior, seed, summary))
     differences = {
         (a.preset.kind, b.preset.kind): a.summary.delta_mpe - b.summary.delta_mpe

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DegenerateData, EmptyGroup, InsufficientSize, NonPositiveParameter, NonPositiveVariance
 
+# A kind's index here is its chain's stream in a sensitivity comparison, so
+# reordering or inserting kinds would change every sensitivity output.
 PRESET_KINDS = ("wide", "medium", "narrow")
 
 
@@ -28,8 +30,8 @@ class GroupedSample:
         Group identifier (1 or 2) for each observation.
 
     Both sequences must have equal length, every value must be finite, the
-    sum of squared deviations about the pooled mean must not overflow, and
-    each group must be non-empty.
+    square of the sum of squared deviations about the pooled mean must not
+    overflow, and each group must be non-empty.
     Instances are immutable by convention; do not mutate the arrays.
     """
 
@@ -58,8 +60,11 @@ class GroupedSample:
         with np.errstate(over="ignore"):  # an overflow is reported just below
             dev = v - v.mean()
             ssd = dev @ dev
-        if not np.isfinite(ssd):
-            raise ValueError("values too large: their sum of squared deviations overflows")
+            # a finite square keeps what is derived from ssd finite: the
+            # squared standard error of Welch's test and the presets' B0
+            ssd_squared = ssd * ssd
+        if not np.isfinite(ssd_squared):
+            raise ValueError("values too large: their sum of squared deviations overflows when squared")
 
     @classmethod
     def from_labels(cls, values, labels) -> "GroupedSample":

@@ -4,6 +4,60 @@ Input CSV has a ``value,group`` header; the group column may hold any string
 labels, and the first distinct label becomes group 1. Reports are JSON with
 sorted keys and floats in shortest round-trip notation, so identical runs
 produce byte-identical files.
+
+Three blocks recur below. A *summary* is ``delta_mpe`` (posterior mean of
+the effect size), ``hpd`` (``level``, ``lower``, ``upper``: the shortest
+interval holding ``level`` of the draws) and ``pmp`` (``cell``: the
+conventional category holding ``delta_mpe``, ``value``: the share of draws
+in that cell). A *prior* is ``b0``, ``B0`` (normal mean and variance of each
+group mean) and ``c0``, ``C0`` (inverse-gamma shape and scale of each group
+variance). A *rope* is a list of ``[lo, hi]`` pairs.
+
+``mixtt analyze`` (:func:`analysis_dict`) writes
+
+- ``analysis``: a summary, plus ``delta_mode`` (posterior mode), ``esr``
+  (``lower``, ``upper``: the HPD bounds again), ``decision`` (``status``:
+  ``accepted``, ``rejected`` or ``indeterminate``; ``alpha``: the HPD level;
+  ``strict``: whether indeterminate was collapsed into rejected) and
+  ``welch`` (``t_statistic``, ``df``, ``p_value``, two-sided);
+- ``chain``: ``iterations``, ``burn_in``, ``seed``, ``prior``, ``preset``
+  (``wide``, ``medium``, ``narrow`` or ``custom``), ``direction`` (``g2-g1``
+  or ``g1-g2``) and ``parameter_summary``, which maps each of ``mu1``,
+  ``mu2``, ``sigma2_1`` and ``sigma2_2`` to the ``mean`` and ``sd`` of its
+  post-burn-in draws;
+- ``rope``: the rope the decision used;
+- ``input``: the group sizes ``n1`` and ``n2``.
+
+``mixtt simulate`` (:func:`study_result_dict`) writes
+
+- ``config``: ``scenario``, ``components`` (``mu1``, ``sd1``, ``mu2``,
+  ``sd2``), ``true_delta``, ``n_per_group``, ``n_datasets``,
+  ``iterations``, ``burn_in``, ``preset``, ``alpha``, ``rope``,
+  ``master_seed`` and ``direction``;
+- ``aggregates``: ``type_i_rate`` and ``type_ii_rate`` (shares of datasets
+  with that error), ``accepted_count``, ``rejected_count`` and
+  ``indeterminate_count``, ``mean_delta_mpe``, and ``welch_rejection_rate``
+  (share with Welch p below 0.05);
+- ``records``: one object per dataset in index order, holding ``index``,
+  ``dataset_seed``, a summary, ``decision``, ``strict_decision`` (accepted
+  or rejected), ``error`` (``type-I``, ``type-II`` or ``none``) and
+  ``welch_p``.
+
+``mixtt sensitivity`` (:func:`sensitivity_dict`) writes
+
+- ``config``: ``iterations``, ``burn_in``, ``seed``, ``alpha``, ``n1``,
+  ``n2`` and ``direction``;
+- ``presets``: one object per preset in command-line order, holding
+  ``preset``, ``prior``, ``chain_seed`` and a summary;
+- ``differences``: for each distinct pair of presets, sorted by the pair,
+  ``first`` (the earlier on the command line), ``second`` and
+  ``delta_mpe_difference`` (first minus second).
+
+``mixtt analyze --plot-data`` (:func:`write_plot_data`) writes a ``kind,x,y``
+CSV: 512 ``density`` rows with the grid point and its kernel density, then
+``hpd_lower`` and ``hpd_upper`` rows and one ``rope_boundary`` row per
+finite category bound (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8), each with ``y``
+empty.
 """
 
 from __future__ import annotations
@@ -11,15 +65,24 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import HpdInterval, PosteriorSummary, cohen_partition, density_grid
+from .analysis import (
+    DECISION_ACCEPTED,
+    DECISION_INDETERMINATE,
+    DECISION_REJECTED,
+    ERROR_TYPE_I,
+    ERROR_TYPE_II,
+    HpdInterval,
+    PosteriorSummary,
+    cohen_partition,
+    density_grid,
+)
 from .errors import ParseError
-from .gibbs import PosteriorChain
-from .harness import PresetSummary, StudyResult
+from .gibbs import ChainConfig, PosteriorChain
+from .harness import DIRECTION, DatasetRecord, PresetSummary, StudyConfig
 from .model import GroupedSample, IndependencePrior
 from .welch import WelchResult
 
@@ -66,56 +129,52 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
         raise ParseError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything one analysis produced, plus the metadata to reproduce it."""
-
-    summary: PosteriorSummary
-    delta_mode: float
-    decision: str
-    welch: WelchResult
-    iterations: int
-    burn_in: int
-    seed: int
-    prior: IndependencePrior
-    preset_kind: str
-    direction: str
-    rope: tuple[tuple[float, float], ...]
-    strict: bool
-    n1: int
-    n2: int
-    parameter_summary: dict
-
-    def to_dict(self) -> dict:
-        hpd = self.summary.hpd
-        return {
-            "analysis": {
-                **_summary_dict(self.summary),
-                "delta_mode": self.delta_mode,
-                "esr": {"lower": hpd.lower, "upper": hpd.upper},
-                "decision": {
-                    "status": self.decision,
-                    "alpha": hpd.level,
-                    "strict": self.strict,
-                },
-                "welch": {
-                    "t_statistic": self.welch.t_statistic,
-                    "df": self.welch.df,
-                    "p_value": self.welch.p_value,
-                },
+def analysis_dict(
+    config: ChainConfig,
+    chain: PosteriorChain,
+    summary: PosteriorSummary,
+    delta_mode: float,
+    decision: str,
+    welch: WelchResult,
+    preset_kind: str,
+    direction: str,
+    rope: tuple[tuple[float, float], ...],
+    strict: bool,
+) -> dict:
+    """JSON-ready report of one analysis: summaries, the chain that ran, and its input sizes."""
+    hpd = summary.hpd
+    return {
+        "analysis": {
+            **_summary_dict(summary),
+            "delta_mode": delta_mode,
+            "esr": {"lower": hpd.lower, "upper": hpd.upper},
+            "decision": {"status": decision, "alpha": hpd.level, "strict": strict},
+            "welch": {
+                "t_statistic": welch.t_statistic,
+                "df": welch.df,
+                "p_value": welch.p_value,
             },
-            "chain": {
-                "iterations": self.iterations,
-                "burn_in": self.burn_in,
-                "seed": self.seed,
-                "prior": _prior_dict(self.prior),
-                "preset": self.preset_kind,
-                "direction": self.direction,
-                "parameter_summary": self.parameter_summary,
+        },
+        "chain": {
+            "iterations": config.iterations,
+            "burn_in": config.burn_in,
+            "seed": config.seed,
+            "prior": _prior_dict(config.prior),
+            "preset": preset_kind,
+            "direction": direction,
+            "parameter_summary": {
+                name: {"mean": float(draws.mean()), "sd": float(draws.std(ddof=1))}
+                for name, draws in (
+                    ("mu1", chain.mu1),
+                    ("mu2", chain.mu2),
+                    ("sigma2_1", chain.sigma2_1),
+                    ("sigma2_2", chain.sigma2_2),
+                )
             },
-            "rope": [list(pair) for pair in self.rope],
-            "input": {"n1": self.n1, "n2": self.n2},
-        }
+        },
+        "rope": [list(pair) for pair in rope],
+        "input": {"n1": chain.stats.n1, "n2": chain.stats.n2},
+    }
 
 
 def _summary_dict(summary: PosteriorSummary) -> dict:
@@ -131,37 +190,37 @@ def _prior_dict(prior: IndependencePrior) -> dict:
     return {"b0": prior.b0, "B0": prior.B0, "c0": prior.c0, "C0": prior.C0}
 
 
-def study_result_dict(result: StudyResult) -> dict:
+def study_result_dict(config: StudyConfig, records: tuple[DatasetRecord, ...]) -> dict:
     """JSON-ready view of a study: config echo, aggregates, per-dataset records."""
-    cfg = result.config
+    n = len(records)
     return {
         "config": {
-            "scenario": cfg.scenario.kind,
+            "scenario": config.scenario.kind,
             "components": {
-                "mu1": cfg.scenario.mu1,
-                "sd1": cfg.scenario.sd1,
-                "mu2": cfg.scenario.mu2,
-                "sd2": cfg.scenario.sd2,
+                "mu1": config.scenario.mu1,
+                "sd1": config.scenario.sd1,
+                "mu2": config.scenario.mu2,
+                "sd2": config.scenario.sd2,
             },
-            "true_delta": cfg.scenario.true_delta,
-            "n_per_group": cfg.n_per_group,
-            "n_datasets": cfg.n_datasets,
-            "iterations": cfg.iterations,
-            "burn_in": cfg.burn_in,
-            "preset": cfg.preset.kind,
-            "alpha": cfg.alpha,
-            "rope": [list(pair) for pair in cfg.rope],
-            "master_seed": cfg.master_seed,
-            "direction": "g2-g1",
+            "true_delta": config.scenario.true_delta,
+            "n_per_group": config.n_per_group,
+            "n_datasets": config.n_datasets,
+            "iterations": config.iterations,
+            "burn_in": config.burn_in,
+            "preset": config.preset.kind,
+            "alpha": config.alpha,
+            "rope": [list(pair) for pair in config.rope],
+            "master_seed": config.master_seed,
+            "direction": DIRECTION,
         },
         "aggregates": {
-            "type_i_rate": result.type_i_rate,
-            "type_ii_rate": result.type_ii_rate,
-            "accepted_count": result.accepted_count,
-            "rejected_count": result.rejected_count,
-            "indeterminate_count": result.indeterminate_count,
-            "mean_delta_mpe": result.mean_delta_mpe,
-            "welch_rejection_rate": result.welch_rejection_rate,
+            "type_i_rate": sum(r.error == ERROR_TYPE_I for r in records) / n,
+            "type_ii_rate": sum(r.error == ERROR_TYPE_II for r in records) / n,
+            "accepted_count": sum(r.decision == DECISION_ACCEPTED for r in records),
+            "rejected_count": sum(r.decision == DECISION_REJECTED for r in records),
+            "indeterminate_count": sum(r.decision == DECISION_INDETERMINATE for r in records),
+            "mean_delta_mpe": sum(r.summary.delta_mpe for r in records) / n,
+            "welch_rejection_rate": sum(r.welch_p < 0.05 for r in records) / n,
         },
         "records": [
             {
@@ -173,7 +232,7 @@ def study_result_dict(result: StudyResult) -> dict:
                 "error": r.error,
                 "welch_p": r.welch_p,
             }
-            for r in result.records
+            for r in records
         ],
     }
 
@@ -196,7 +255,7 @@ def sensitivity_dict(
             "alpha": alpha,
             "n1": n1,
             "n2": n2,
-            "direction": "g2-g1",
+            "direction": DIRECTION,
         },
         "presets": [
             {
@@ -244,16 +303,3 @@ def write_plot_data(deltas: np.ndarray, hpd: HpdInterval, path: str | Path) -> N
         for _, lo, _ in cohen_partition():
             if math.isfinite(lo):
                 writer.writerow(["rope_boundary", repr(lo), ""])
-
-
-def chain_summary_dict(chain: PosteriorChain) -> dict:
-    """Marginal means and standard deviations of the four parameters."""
-    def stats(arr):
-        return {"mean": float(arr.mean()), "sd": float(arr.std(ddof=1))}
-
-    return {
-        "mu1": stats(chain.mu1),
-        "mu2": stats(chain.mu2),
-        "sigma2_1": stats(chain.sigma2_1),
-        "sigma2_2": stats(chain.sigma2_2),
-    }

@@ -46,6 +46,7 @@ from mixtt.distributions import RngState, derive_seed, sample_inverse_gamma, sam
 from mixtt.gibbs import ChainConfig, run_chain
 from mixtt.harness import Scenario, StudyConfig, generate_dataset, run_study
 from mixtt.model import GroupedSample, IndependencePrior, PriorPreset, realize_preset
+from mixtt.reports import study_result_dict
 from mixtt.welch import welch_t_test
 
 SEED = 20260810
@@ -361,7 +362,7 @@ def null_trend_studies():
             scenario=Scenario.named("null"), n_per_group=n, n_datasets=100,
             master_seed=derive_seed(SEED, n),
         )
-        out[n] = run_study(cfg).type_i_rate
+        out[n] = study_result_dict(cfg, run_study(cfg))["aggregates"]["type_i_rate"]
     return out
 
 
@@ -374,7 +375,7 @@ def test_c8_consistency_trends(null_trend_studies, null_study_300):
                 scenario=Scenario.named("large"), n_per_group=n, n_datasets=1,
                 master_seed=derive_seed(derive_seed(SEED, 1000 + n), rep),
             )
-            pmps.append(run_study(cfg).records[0].summary.pmp_value)
+            pmps.append(run_study(cfg)[0].summary.pmp_value)
         pmp_medians[n] = statistics.median(pmps)
 
     rates = dict(null_trend_studies)

@@ -67,6 +67,8 @@ def test_effect_size_requires_three_observations():
 def test_delta_mpe():
     assert delta_mpe(np.array([0.1, 0.2, 0.3])) == pytest.approx(0.2)
     assert delta_mpe(np.array([0.7])) == 0.7
+    # the float mean of these is -0.8000000000000002, below every draw
+    assert delta_mpe(np.full(3, -0.8)) == -0.8
 
 
 def test_posterior_mode_symmetric():
@@ -140,9 +142,7 @@ def test_hpd_matches_enumeration_oracle():
 
 def test_cohen_partition_cells():
     cells = cohen_partition()
-    # two equal draws keep the mean exactly x (three copies of -0.8 average
-    # to -0.8000000000000002, which lies in the cell below)
-    cell_of = lambda x: pmp(np.full(2, x), cells)
+    cell_of = lambda x: pmp(np.full(3, x), cells)
     assert cell_of(0.0) == ("none", 1.0)
     assert cell_of(0.5) == ("medium", 1.0)  # boundaries are lower-closed
     assert cell_of(-0.35) == ("small-negative", 1.0)

@@ -193,14 +193,44 @@ def test_utf8_bom_is_accepted(tmp_path):
     assert json.loads(out.read_text())["input"] == {"n1": 3, "n2": 2}
 
 
-@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
-def test_overflowing_values_rejected(tmp_path, capsys, command):
+def _assert_overflow_rejected(tmp_path, capsys, command, rows):
     path = tmp_path / "huge.csv"
-    path.write_text("value,group\n1e200,a\n2e200,a\n1.0,b\n3.0,b\n")
+    path.write_text("value,group\n" + rows)
     rc = run_cli(command, "--input", path, "--output", tmp_path / "r.json", "--seed", 1,
                  "--iters", 300, "--burnin", 100)
     assert rc == 2
-    assert "overflows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("mixtt: error:") and "overflows" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+def test_overflowing_values_rejected(tmp_path, capsys, command):
+    _assert_overflow_rejected(tmp_path, capsys, command, "1e200,a\n2e200,a\n1.0,b\n3.0,b\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # finite sum of squared deviations; Welch's se^2 squared overflowed
+        "1e153,a\n-1e153,a\n3e153,a\n1e153,b\n-1e153,b\n",
+        # finite sum of squared deviations; the presets' B0 overflowed
+        "6e153,a\n-6e153,a\n6e153,b\n-6e153,b\n",
+    ],
+    ids=["welch-se", "preset-B0"],
+)
+def test_overflowing_derived_quantities_rejected(tmp_path, capsys, command, rows):
+    _assert_overflow_rejected(tmp_path, capsys, command, rows)
+
+
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+def test_values_at_1e70_scale_run(tmp_path, command):
+    path = tmp_path / "big.csv"
+    path.write_text("value,group\n1e70,a\n-2e70,a\n3e70,a\n2e70,b\n5e70,b\n-1e70,b\n")
+    rc = run_cli(command, "--input", path, "--output", tmp_path / "r.json", "--seed", 1,
+                 "--iters", 300, "--burnin", 100)
+    assert rc == 0
 
 
 def test_bad_header_rejected(tmp_path, capsys):

@@ -12,6 +12,7 @@ from mixtt.harness import (
     scenario_params,
 )
 from mixtt.model import GroupedSample, PriorPreset
+from mixtt.reports import study_result_dict
 
 
 def test_scenario_parameter_table():
@@ -74,12 +75,13 @@ def test_single_dataset_study_aggregates_equal_record():
         iterations=2000,
         burn_in=1000,
     )
-    res = run_study(cfg)
-    assert len(res.records) == 1
-    rec = res.records[0]
-    assert res.mean_delta_mpe == rec.summary.delta_mpe
-    assert res.type_i_rate == float(rec.error == "type-I")
-    assert res.accepted_count == int(rec.decision == "accepted")
+    records = run_study(cfg)
+    assert len(records) == 1
+    rec = records[0]
+    agg = study_result_dict(cfg, records)["aggregates"]
+    assert agg["mean_delta_mpe"] == rec.summary.delta_mpe
+    assert agg["type_i_rate"] == float(rec.error == "type-I")
+    assert agg["accepted_count"] == int(rec.decision == "accepted")
 
 
 def test_study_is_pure_function_of_config():
@@ -93,8 +95,7 @@ def test_study_is_pure_function_of_config():
     )
     a = run_study(cfg)
     b = run_study(cfg)
-    assert a.records == b.records
-    assert a.mean_delta_mpe == b.mean_delta_mpe
+    assert a == b
 
 
 def test_per_dataset_seeds_are_index_derived():
@@ -106,8 +107,8 @@ def test_per_dataset_seeds_are_index_derived():
         iterations=1200,
         burn_in=200,
     )
-    res = run_study(cfg)
-    assert [r.dataset_seed for r in res.records] == [derive_seed(31337, i) for i in range(3)]
+    records = run_study(cfg)
+    assert [r.dataset_seed for r in records] == [derive_seed(31337, i) for i in range(3)]
     # dropping to fewer datasets reproduces a prefix: order independence
     smaller = run_study(
         StudyConfig(
@@ -119,7 +120,7 @@ def test_per_dataset_seeds_are_index_derived():
             burn_in=200,
         )
     )
-    assert smaller.records == res.records[:2]
+    assert smaller == records[:2]
 
 
 def test_large_effect_never_looks_null_even_at_n50():
@@ -129,10 +130,10 @@ def test_large_effect_never_looks_null_even_at_n50():
         n_datasets=100,
         master_seed=88,
     )
-    res = run_study(cfg)
-    contained = sum(r.summary.hpd.lower >= -0.2 and r.summary.hpd.upper <= 0.2 for r in res.records)
+    records = run_study(cfg)
+    contained = sum(r.summary.hpd.lower >= -0.2 and r.summary.hpd.upper <= 0.2 for r in records)
     assert contained == 0
-    assert res.type_ii_rate == 0.0
+    assert study_result_dict(cfg, records)["aggregates"]["type_ii_rate"] == 0.0
 
 
 def _sensitivity_sample():
