@@ -11,6 +11,7 @@ on success and nonzero with a diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .analysis import DIRECTIONS, effect_size_series, hpd_decision, posterior_mode, summarize
@@ -48,6 +49,8 @@ def _parse_rope(text: str) -> tuple[tuple[float, float], ...]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers in LO,HI, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"rope bounds must be finite, got {text!r}")
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"rope needs LO < HI, got {text!r}")
     return ((lo, hi),)
@@ -172,21 +175,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> None:
-    names = [name.strip() for name in args.presets.split(",") if name.strip()]
     sample = read_sample_csv(args.input)
-    summaries, differences = prior_sensitivity(
-        sample,
-        [PriorPreset(name) for name in names],
-        base_seed=args.seed,
-        iterations=args.iters,
-        burn_in=args.burnin,
-        alpha=args.alpha,
-    )
-    payload = sensitivity_dict(
-        summaries, differences, args.iters, args.burnin, args.seed, args.alpha,
-        sample.n1, sample.n2,
-    )
-    write_json(payload, args.output)
+    presets = [PriorPreset(name.strip()) for name in args.presets.split(",") if name.strip()]
+    records = prior_sensitivity(sample, presets, args.seed, args.iters, args.burnin, args.alpha)
+    write_json(sensitivity_dict(records, args.seed, sample.n1, sample.n2), args.output)
 
 
 _COMMANDS = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sensitivity": cmd_sensitivity}

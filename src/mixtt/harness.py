@@ -27,7 +27,7 @@ from .analysis import (
 from .errors import ConfigInvalid, InsufficientSize, UnknownScenario
 from .distributions import RngState, derive_seed, sample_normal
 from .gibbs import ChainConfig, run_chain
-from .model import PRESET_KINDS, GroupedSample, IndependencePrior, PriorPreset, realize_preset
+from .model import PRESET_KINDS, GroupedSample, PriorPreset, realize_preset
 from .welch import welch_t_test
 
 # second parameters are standard deviations
@@ -162,11 +162,10 @@ def run_study(config: StudyConfig) -> tuple[DatasetRecord, ...]:
 
 @dataclass(frozen=True)
 class PresetSummary:
-    """Posterior summaries for one preset in a sensitivity comparison."""
+    """One preset's run in a sensitivity comparison: its kind, the chain config that ran, its summary."""
 
-    preset: PriorPreset
-    prior: IndependencePrior
-    chain_seed: int
+    kind: str
+    config: ChainConfig
     summary: PosteriorSummary
 
 
@@ -177,27 +176,27 @@ def prior_sensitivity(
     iterations: int = DEFAULT_ITERATIONS,
     burn_in: int = DEFAULT_BURN_IN,
     alpha: float = DEFAULT_ALPHA,
-) -> tuple[list[PresetSummary], dict[tuple[str, str], float]]:
-    """Fit the same data once per preset and compare the posterior means.
+) -> tuple[PresetSummary, ...]:
+    """Fit the same data once per preset, in the given order.
 
     Chain seeds derive from base_seed and the kind's index in
-    :data:`~mixtt.model.PRESET_KINDS`, so repeating a preset reproduces its
-    summary exactly and cross-preset differences are not confounded by
-    different random streams for the same kind.
+    :data:`~mixtt.model.PRESET_KINDS`, so a kind's summary does not depend on
+    the other presets or their order, and cross-preset differences are not
+    confounded by different random streams for the same kind.
+
+    Raises
+    ------
+    ConfigInvalid
+        If fewer than two presets are given or a kind repeats; no chain runs.
     """
     presets = list(presets)
-    if len(presets) < 2:
-        raise ConfigInvalid("at least two presets required for a sensitivity comparison")
-    summaries = []
+    kinds = [preset.kind for preset in presets]
+    if len(kinds) < 2 or len(set(kinds)) < len(kinds):
+        raise ConfigInvalid(f"sensitivity needs at least two presets of distinct kinds, got {kinds}")
+    records = []
     for preset in presets:
         seed = derive_seed(base_seed, PRESET_KINDS.index(preset.kind))
-        prior = realize_preset(preset, sample)
-        chain = run_chain(sample, ChainConfig(iterations, burn_in, seed, prior))
-        summary = summarize(effect_size_series(chain, direction=DIRECTION), alpha)
-        summaries.append(PresetSummary(preset, prior, seed, summary))
-    differences = {
-        (a.preset.kind, b.preset.kind): a.summary.delta_mpe - b.summary.delta_mpe
-        for idx, a in enumerate(summaries)
-        for b in summaries[idx + 1 :]
-    }
-    return summaries, differences
+        config = ChainConfig(iterations, burn_in, seed, realize_preset(preset, sample))
+        summary = summarize(effect_size_series(run_chain(sample, config), direction=DIRECTION), alpha)
+        records.append(PresetSummary(preset.kind, config, summary))
+    return tuple(records)

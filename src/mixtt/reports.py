@@ -48,9 +48,10 @@ variance). A *rope* is a list of ``[lo, hi]`` pairs.
 - ``config``: ``iterations``, ``burn_in``, ``seed``, ``alpha``, ``n1``,
   ``n2`` and ``direction``;
 - ``presets``: one object per preset in command-line order, holding
-  ``preset``, ``prior``, ``chain_seed`` and a summary;
-- ``differences``: for each distinct pair of presets, sorted by the pair,
-  ``first`` (the earlier on the command line), ``second`` and
+  ``preset``, ``prior``, ``chain_seed`` and a summary; the presets are
+  distinct kinds (a repeated kind is rejected before any chain runs);
+- ``differences``: one entry per pair of presets, sorted by the pair,
+  holding ``first`` (the earlier on the command line), ``second`` and
   ``delta_mpe_difference`` (first minus second).
 
 ``mixtt analyze --plot-data`` (:func:`write_plot_data`) writes a ``kind,x,y``
@@ -65,6 +66,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,7 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
     """
     values: list[float] = []
     labels: list[str] = []
+    distinct: dict[str, None] = {}  # labels in order of first appearance
     with open(path, newline="", encoding="utf-8-sig") as fh:  # tolerates a UTF-8 BOM
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -121,6 +124,10 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
                 raise ParseError(f"{path}: line {lineno}: not a finite number: {row[0]!r}")
             values.append(value)
             labels.append(row[1].strip())
+            if labels[-1] not in distinct:
+                distinct[labels[-1]] = None
+                if len(distinct) > 2:
+                    raise ParseError(f"{path}: line {lineno}: more than two group labels: {[*distinct]!r}")
     if not values:
         raise ParseError(f"{path}: no data rows")
     try:
@@ -237,47 +244,43 @@ def study_result_dict(config: StudyConfig, records: tuple[DatasetRecord, ...]) -
     }
 
 
-def sensitivity_dict(
-    summaries: list[PresetSummary],
-    differences: dict[tuple[str, str], float],
-    iterations: int,
-    burn_in: int,
-    seed: int,
-    alpha: float,
-    n1: int,
-    n2: int,
-) -> dict:
+def sensitivity_dict(records: tuple[PresetSummary, ...], seed: int, n1: int, n2: int) -> dict:
+    """JSON-ready view of a sensitivity comparison: config echo, presets, pairwise differences."""
+    config = records[0].config
+    differences = sorted(
+        (a.kind, b.kind, a.summary.delta_mpe - b.summary.delta_mpe) for a, b in combinations(records, 2)
+    )
     return {
         "config": {
-            "iterations": iterations,
-            "burn_in": burn_in,
+            "iterations": config.iterations,
+            "burn_in": config.burn_in,
             "seed": seed,
-            "alpha": alpha,
+            "alpha": records[0].summary.hpd.level,
             "n1": n1,
             "n2": n2,
             "direction": DIRECTION,
         },
         "presets": [
             {
-                "preset": s.preset.kind,
-                "prior": _prior_dict(s.prior),
-                "chain_seed": s.chain_seed,
-                **_summary_dict(s.summary),
+                "preset": r.kind,
+                "prior": _prior_dict(r.config.prior),
+                "chain_seed": r.config.seed,
+                **_summary_dict(r.summary),
             }
-            for s in summaries
+            for r in records
         ],
         "differences": [
-            {"first": a, "second": b, "delta_mpe_difference": diff}
-            for (a, b), diff in sorted(differences.items())
+            {"first": a, "second": b, "delta_mpe_difference": diff} for a, b, diff in differences
         ],
     }
 
 
 def write_json(obj: dict, path: str | Path) -> None:
-    """Serialize with sorted keys and a trailing newline; byte-stable per input."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Serialize with sorted keys and a trailing newline; byte-stable per input.
+
+    The text is formed before the file is opened, so a failure leaves the path as it was.
+    """
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_plot_data(deltas: np.ndarray, hpd: HpdInterval, path: str | Path) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .distributions import regularized_incomplete_beta
@@ -42,6 +43,9 @@ def welch_t_test(sample: GroupedSample) -> WelchResult:
     q2 = v2 / n2
     se2 = q1 + q2
     t = (float(g1.mean()) - float(g2.mean())) / se2**0.5
-    df = se2**2 / (q1**2 / (n1 - 1) + q2**2 / (n2 - 1))
+    # df is scale-free; a power-of-two rescale keeps the squares from underflowing
+    k = math.frexp(se2)[1]
+    q1, q2 = math.ldexp(q1, -k), math.ldexp(q2, -k)
+    df = (q1 + q2) ** 2 / (q1**2 / (n1 - 1) + q2**2 / (n2 - 1))
     p = regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
     return WelchResult(t_statistic=t, df=df, p_value=p)

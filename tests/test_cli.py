@@ -9,7 +9,7 @@ from mixtt.cli import main
 from mixtt.distributions import RngState, sample_normal
 from mixtt.errors import DegenerateDraws
 from mixtt.model import GroupedSample, compute_sufficient_stats
-from mixtt.reports import read_sample_csv, write_plot_data
+from mixtt.reports import read_sample_csv, write_json, write_plot_data
 
 
 @pytest.fixture
@@ -67,7 +67,7 @@ def test_analyze_plot_data_structure(data_csv, tmp_path):
     plot = tmp_path / "plot.csv"
     run_cli("analyze", "--input", data_csv, "--output", out, "--plot-data", plot,
             "--seed", 7, "--iters", 2000, "--burnin", 1000)
-    rows = list(csv.reader(plot.open()))
+    rows = list(csv.reader(plot.read_text().splitlines()))
     assert rows[0] == ["kind", "x", "y"]
     density = [r for r in rows if r[0] == "density"]
     assert len(density) == 512
@@ -88,7 +88,8 @@ def test_delta_mode_is_plot_density_peak(data_csv, tmp_path):
     rc = run_cli("analyze", "--input", data_csv, "--output", out, "--plot-data", plot,
                  "--seed", 8, "--iters", 2000, "--burnin", 500)
     assert rc == 0
-    density = [(float(x), float(y)) for kind, x, y in csv.reader(plot.open()) if kind == "density"]
+    rows = csv.reader(plot.read_text().splitlines())
+    density = [(float(x), float(y)) for kind, x, y in rows if kind == "density"]
     peak_x = max(density, key=lambda row: row[1])[0]
     assert json.loads(out.read_text())["analysis"]["delta_mode"] == peak_x
 
@@ -171,8 +172,9 @@ def test_non_finite_value_rejected_with_line_number(tmp_path, capsys, bad):
     [
         ("value,group\n1.0,a\n\n2.0,b\n1.0,a,junk\n3.0,b\n", "line 5"),
         ("value,group,note\n1.0,a\n2.0,b\n3.0,a\n4.0,b\n", "line 1"),
+        ("value,group\n1.0,a\n2.0,b\n\n3.0,c\n4.0,a\n", "line 5"),
     ],
-    ids=["data-row", "header"],
+    ids=["data-row", "header", "third-label"],
 )
 def test_extra_columns_rejected_with_line_number(tmp_path, capsys, text, line):
     path = tmp_path / "wide.csv"
@@ -226,11 +228,13 @@ def test_overflowing_derived_quantities_rejected(tmp_path, capsys, command, rows
 
 @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
 def test_values_at_1e70_scale_run(tmp_path, command):
-    path = tmp_path / "big.csv"
-    path.write_text("value,group\n1e70,a\n-2e70,a\n3e70,a\n2e70,b\n5e70,b\n-1e70,b\n")
-    rc = run_cli(command, "--input", path, "--output", tmp_path / "r.json", "--seed", 1,
-                 "--iters", 300, "--burnin", 100)
-    assert rc == 0
+    # at 1e-100 scale the squares of Welch's standard errors underflow unless rescaled
+    for scale in ("e70", "e-100"):
+        path = tmp_path / "big.csv"
+        path.write_text("value,group\n1{0},a\n-2{0},a\n3{0},a\n2{0},b\n5{0},b\n-1{0},b\n".format(scale))
+        rc = run_cli(command, "--input", path, "--output", tmp_path / "r.json", "--seed", 1,
+                     "--iters", 300, "--burnin", 100)
+        assert rc == 0, scale
 
 
 def test_bad_header_rejected(tmp_path, capsys):
@@ -325,8 +329,14 @@ def test_sensitivity_unknown_preset_is_named(data_csv, tmp_path, capsys):
         ("analyze", ["--alpha", "nan"], None),
         ("sensitivity", ["--alpha", "0"], None),
         ("analyze", [], "1.0,a\n2.0,b\n3.5,b\n2.5,b\n"),
+        ("analyze", ["--rope=0,inf"], None),
+        ("analyze", ["--rope=-inf,0.2"], None),
+        ("sensitivity", ["--presets", "wide,wide,narrow"], None),
     ],
-    ids=["analyze-alpha-above-one", "analyze-alpha-nan", "sensitivity-alpha-zero", "one-row-group"],
+    ids=[
+        "analyze-alpha-above-one", "analyze-alpha-nan", "sensitivity-alpha-zero", "one-row-group",
+        "analyze-rope-inf", "analyze-rope-minus-inf", "sensitivity-repeated-preset",
+    ],
 )
 def test_bad_arguments_fail_before_any_chain(data_csv, tmp_path, monkeypatch, command, extra, rows):
     def no_chain(*args, **kwargs):
@@ -343,6 +353,19 @@ def test_bad_arguments_fail_before_any_chain(data_csv, tmp_path, monkeypatch, co
     except SystemExit as exc:  # argparse rejects a bad flag value with status 2
         rc = exc.code
     assert rc == 2
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_write_json_failure_leaves_file_untouched(tmp_path, existing):
+    path = tmp_path / "r.json"
+    if existing:
+        path.write_bytes(b"old report\n")
+    with pytest.raises(ValueError):
+        write_json({"x": float("inf")}, path)
+    if existing:
+        assert path.read_bytes() == b"old report\n"
+    else:
+        assert not path.exists()
 
 
 def test_sensitivity_has_no_rope_flag(data_csv, tmp_path):

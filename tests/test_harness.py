@@ -12,7 +12,7 @@ from mixtt.harness import (
     scenario_params,
 )
 from mixtt.model import GroupedSample, PriorPreset
-from mixtt.reports import study_result_dict
+from mixtt.reports import sensitivity_dict, study_result_dict
 
 
 def test_scenario_parameter_table():
@@ -148,24 +148,41 @@ def _sensitivity_sample():
 def test_prior_sensitivity_small_differences():
     sample = _sensitivity_sample()
     presets = [PriorPreset("wide"), PriorPreset("medium"), PriorPreset("narrow")]
-    summaries, diffs = prior_sensitivity(sample, presets, base_seed=5, iterations=4000, burn_in=2000)
-    assert len(summaries) == 3
-    assert abs(diffs[("wide", "medium")]) < 0.1
-    assert abs(diffs[("wide", "narrow")]) < 0.1
+    records = prior_sensitivity(sample, presets, base_seed=5, iterations=4000, burn_in=2000)
+    assert [r.kind for r in records] == ["wide", "medium", "narrow"]
+    wide, medium, narrow = (r.summary.delta_mpe for r in records)
+    assert abs(wide - medium) < 0.1
+    assert abs(wide - narrow) < 0.1
     # shrinkage pulls the narrow-prior estimate toward zero, within noise
-    wide = next(s for s in summaries if s.preset.kind == "wide")
-    narrow = next(s for s in summaries if s.preset.kind == "narrow")
-    assert abs(narrow.summary.delta_mpe) <= abs(wide.summary.delta_mpe) + 0.02
+    assert abs(narrow) <= abs(wide) + 0.02
+    differences = sensitivity_dict(records, 5, sample.n1, sample.n2)["differences"]
+    assert [(d["first"], d["second"], d["delta_mpe_difference"]) for d in differences] == [
+        ("medium", "narrow", medium - narrow),
+        ("wide", "medium", wide - medium),
+        ("wide", "narrow", wide - narrow),
+    ]
 
 
-def test_prior_sensitivity_repeated_preset_is_exactly_equal():
+def test_prior_sensitivity_rejects_repeated_kind(monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was started")
+
+    monkeypatch.setattr("mixtt.harness.run_chain", no_chain)
+    presets = [PriorPreset("wide"), PriorPreset("wide"), PriorPreset("narrow")]
+    with pytest.raises(ConfigInvalid, match=r"\['wide', 'wide', 'narrow'\]"):
+        prior_sensitivity(_sensitivity_sample(), presets, base_seed=5)
+
+
+def test_prior_sensitivity_kind_stream_ignores_order():
+    # a kind's chain seed comes from its index in PRESET_KINDS, not its position
     sample = _sensitivity_sample()
-    summaries, diffs = prior_sensitivity(
-        sample, [PriorPreset("wide"), PriorPreset("wide")], base_seed=5,
-        iterations=2000, burn_in=1000,
+    kinds = ("wide", "narrow")
+    fwd, rev = (
+        prior_sensitivity(sample, [PriorPreset(k) for k in order], base_seed=5, iterations=2000, burn_in=1000)
+        for order in (kinds, kinds[::-1])
     )
-    assert diffs[("wide", "wide")] == 0.0
-    assert summaries[0].summary.delta_mpe == summaries[1].summary.delta_mpe
+    assert fwd[0].kind == rev[1].kind == "wide"
+    assert fwd[0] == rev[1]
 
 
 def test_prior_sensitivity_needs_two_presets():

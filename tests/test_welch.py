@@ -86,6 +86,17 @@ def test_antisymmetry_under_label_swap():
 def test_one_zero_variance_group_is_fine():
     res = welch_t_test(make_sample([1.0, 1.0, 1.0], [2.0, 3.0, 4.0]))
     assert res.p_value < 0.2
+    # the other group's squared standard error underflows without a rescale
+    assert welch_t_test(make_sample([0.0, 1e-150, 2e-150], [1.0, 1.0, 1.0])).df == 2.0
+
+
+def test_power_of_two_scale_is_exact():
+    # scaling by 2**-400 is exact, and squares of the scaled standard errors
+    # would underflow; the result must not change at all
+    rng = np.random.default_rng(25)
+    g1, g2 = rng.normal(0, 1, 9), rng.normal(1, 3, 14)
+    factor = 2.0**-400
+    assert welch_t_test(make_sample(g1 * factor, g2 * factor)) == welch_t_test(make_sample(g1, g2))
 
 
 def test_errors():
