@@ -41,7 +41,7 @@ class HpdInterval:
     upper: float
 
 
-def effect_size_series(chain: PosteriorChain, direction: str = "g1-g2") -> np.ndarray:
+def effect_size_series(chain: PosteriorChain, direction: str) -> np.ndarray:
     """Per-draw standardized mean difference.
 
     Each draw i yields (mu1 - mu2) / s with s the pooled standard deviation

@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 
-from .analysis import DIRECTIONS, effect_size_series, hpd_decision, posterior_mode, summarize
+from .analysis import DIRECTIONS, effect_size_series, posterior_mode, summarize
 from .errors import MixttError
 from .gibbs import ChainConfig, run_chain
 from .harness import (
@@ -150,8 +150,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     deltas = effect_size_series(chain, direction=args.direction)
     summary = summarize(deltas, args.alpha)
     report = analysis_dict(
-        config, chain, summary, posterior_mode(deltas),
-        hpd_decision(summary.hpd, args.rope, strict=args.strict_decision), welch,
+        config, chain, summary, posterior_mode(deltas), welch,
         preset_kind, args.direction, args.rope, args.strict_decision,
     )
     write_json(report, args.output)

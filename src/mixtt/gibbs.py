@@ -75,12 +75,10 @@ def mu_conditional_params(
     """Posterior (b_k, B_k) of a group mean given that group's variance.
 
     B_k = 1 / (1/B0 + n_k / sigma2_k) and b_k = B_k * (n_k*ybar_k/sigma2_k
-    + b0/B0). An empty group returns the prior (b0, B0) exactly.
+    + b0/B0).
     """
     if sigma2_k <= 0.0:
         raise NonPositiveVariance(f"sigma2_k must be > 0, got {sigma2_k}")
-    if n_k == 0:
-        return prior.b0, prior.B0
     inv_B0 = 1.0 / prior.B0
     B_k = 1.0 / (inv_B0 + n_k / sigma2_k)
     b_k = B_k * (n_k * ybar_k / sigma2_k + prior.b0 * inv_B0)

@@ -1,10 +1,12 @@
 """Monte Carlo study harness: scenario data generation and batch analysis.
 
 A study draws many datasets from a fixed two-component Gaussian scenario,
-runs one chain per dataset, and aggregates effect-size summaries, decisions,
-and error classifications. Every dataset gets its own seed derived from the
-master seed and the dataset index, so results do not depend on execution
-order and the whole study is a pure function of its configuration.
+runs one chain per dataset, and records each dataset's effect-size summary
+and Welch p-value; :func:`mixtt.reports.study_result_dict` derives the
+decisions, error classes and aggregates from them. Every dataset gets its
+own seed derived from the master seed and the dataset index, so results do
+not depend on execution order and the whole study is a pure function of its
+configuration.
 
 Reported effect sizes use the group2-minus-group1 direction, and the true
 effect size of a scenario uses the unpooled denominator
@@ -18,16 +20,14 @@ from dataclasses import dataclass
 
 from .analysis import (
     PosteriorSummary,
-    classify_error,
     effect_size_series,
-    hpd_decision,
     normalize_rope,
     summarize,
 )
 from .errors import ConfigInvalid, InsufficientSize, UnknownScenario
 from .distributions import RngState, derive_seed, sample_normal
 from .gibbs import ChainConfig, run_chain
-from .model import PRESET_KINDS, GroupedSample, PriorPreset, realize_preset
+from .model import PRESET_KINDS, GroupedSample, PriorPreset, pooled_sd, realize_preset
 from .welch import welch_t_test
 
 # second parameters are standard deviations
@@ -110,14 +110,11 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """Summaries of one simulated dataset."""
+    """What one simulated dataset's run measured."""
 
     index: int
     dataset_seed: int
     summary: PosteriorSummary
-    decision: str
-    strict_decision: str
-    error: str
     welch_p: float
 
 
@@ -128,35 +125,17 @@ def run_study(config: StudyConfig) -> tuple[DatasetRecord, ...]:
     seed from (master_seed, i): one child stream for data generation and
     one for the chain, so any execution order (or a parallel runner)
     produces identical records.
-
-    Decisions are recorded in both the three-valued form and the strict
-    two-valued form. Error classification uses the three-valued decision,
-    where a rejection means the HPD interval lies entirely outside the
-    rope; an interval that merely straddles the boundary is indeterminate,
-    not a false positive.
     """
-    sc = config.scenario
     records = []
     for i in range(config.n_datasets):
         dataset_seed = derive_seed(config.master_seed, i)
         data_rng = RngState(derive_seed(dataset_seed, 0))
-        sample = generate_dataset(sc, config.n_per_group, data_rng)
+        sample = generate_dataset(config.scenario, config.n_per_group, data_rng)
         prior = realize_preset(config.preset, sample)
         seed = derive_seed(dataset_seed, 1)
         chain = run_chain(sample, ChainConfig(config.iterations, config.burn_in, seed, prior))
         summary = summarize(effect_size_series(chain, direction=DIRECTION), config.alpha)
-        decision = hpd_decision(summary.hpd, config.rope)
-        records.append(
-            DatasetRecord(
-                index=i,
-                dataset_seed=dataset_seed,
-                summary=summary,
-                decision=decision,
-                strict_decision=hpd_decision(summary.hpd, config.rope, strict=True),
-                error=classify_error(sc.true_delta, config.rope, decision),
-                welch_p=welch_t_test(sample).p_value,
-            )
-        )
+        records.append(DatasetRecord(i, dataset_seed, summary, welch_t_test(sample).p_value))
     return tuple(records)
 
 
@@ -188,11 +167,14 @@ def prior_sensitivity(
     ------
     ConfigInvalid
         If fewer than two presets are given or a kind repeats; no chain runs.
+    InsufficientSize
+        If the sample is too small for a pooled standard deviation; no chain runs.
     """
     presets = list(presets)
     kinds = [preset.kind for preset in presets]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):
         raise ConfigInvalid(f"sensitivity needs at least two presets of distinct kinds, got {kinds}")
+    pooled_sd(1.0, 1.0, sample.n1, sample.n2)  # the effect size's size check, before any chain runs
     records = []
     for preset in presets:
         seed = derive_seed(base_seed, PRESET_KINDS.index(preset.kind))

@@ -8,11 +8,14 @@ here are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, EmptyGroup, InsufficientSize, NonPositiveParameter, NonPositiveVariance
+from .errors import (
+    ConfigInvalid, DegenerateData, EmptyGroup, InsufficientSize, NonPositiveParameter, NonPositiveVariance,
+)
 
 # A kind's index here is its chain's stream in a sensitivity comparison, so
 # reordering or inserting kinds would change every sensitivity output.
@@ -112,7 +115,8 @@ class IndependencePrior:
     """Hyperparameters of the independence prior.
 
     Each group mean is a priori N(b0, B0) and each group variance is
-    inverse-gamma IG(c0, C0), independently of the mean.
+    inverse-gamma IG(c0, C0), independently of the mean. All four values
+    are finite, and B0, c0 and C0 are positive.
     """
 
     b0: float
@@ -121,6 +125,9 @@ class IndependencePrior:
     C0: float
 
     def __post_init__(self):
+        values = (self.b0, self.B0, self.c0, self.C0)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigInvalid(f"prior hyperparameters (b0, B0, c0, C0) must be finite, got {values}")
         if self.B0 <= 0.0:
             raise NonPositiveParameter(f"B0 must be > 0, got {self.B0}")
         if self.c0 <= 0.0 or self.C0 <= 0.0:

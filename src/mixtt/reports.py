@@ -41,7 +41,9 @@ variance). A *rope* is a list of ``[lo, hi]`` pairs.
 - ``records``: one object per dataset in index order, holding ``index``,
   ``dataset_seed``, a summary, ``decision``, ``strict_decision`` (accepted
   or rejected), ``error`` (``type-I``, ``type-II`` or ``none``) and
-  ``welch_p``.
+  ``welch_p``. ``decision`` compares the HPD interval with the rope;
+  ``strict_decision`` collapses indeterminate into rejected. ``error``
+  classifies the three-valued ``decision`` against ``true_delta``.
 
 ``mixtt sensitivity`` (:func:`sensitivity_dict`) writes
 
@@ -79,8 +81,10 @@ from .analysis import (
     ERROR_TYPE_II,
     HpdInterval,
     PosteriorSummary,
+    classify_error,
     cohen_partition,
     density_grid,
+    hpd_decision,
 )
 from .errors import ParseError
 from .gibbs import ChainConfig, PosteriorChain
@@ -141,7 +145,6 @@ def analysis_dict(
     chain: PosteriorChain,
     summary: PosteriorSummary,
     delta_mode: float,
-    decision: str,
     welch: WelchResult,
     preset_kind: str,
     direction: str,
@@ -155,7 +158,7 @@ def analysis_dict(
             **_summary_dict(summary),
             "delta_mode": delta_mode,
             "esr": {"lower": hpd.lower, "upper": hpd.upper},
-            "decision": {"status": decision, "alpha": hpd.level, "strict": strict},
+            "decision": {"status": hpd_decision(hpd, rope, strict), "alpha": hpd.level, "strict": strict},
             "welch": {
                 "t_statistic": welch.t_statistic,
                 "df": welch.df,
@@ -198,8 +201,27 @@ def _prior_dict(prior: IndependencePrior) -> dict:
 
 
 def study_result_dict(config: StudyConfig, records: tuple[DatasetRecord, ...]) -> dict:
-    """JSON-ready view of a study: config echo, aggregates, per-dataset records."""
-    n = len(records)
+    """JSON-ready view of a study: config echo, aggregates, per-dataset records.
+
+    Each row derives its three-valued and strict decisions from the
+    record's HPD interval and the study's rope, and its error class from the
+    three-valued decision and the scenario's true effect size: an interval
+    that merely straddles the rope boundary is indeterminate, not a false
+    positive. The aggregates are counted from those same rows.
+    """
+    rows = []
+    for r in records:
+        decision = hpd_decision(r.summary.hpd, config.rope)
+        rows.append({
+            "index": r.index,
+            "dataset_seed": r.dataset_seed,
+            **_summary_dict(r.summary),
+            "decision": decision,
+            "strict_decision": hpd_decision(r.summary.hpd, config.rope, strict=True),
+            "error": classify_error(config.scenario.true_delta, config.rope, decision),
+            "welch_p": r.welch_p,
+        })
+    n = len(rows)
     return {
         "config": {
             "scenario": config.scenario.kind,
@@ -221,26 +243,15 @@ def study_result_dict(config: StudyConfig, records: tuple[DatasetRecord, ...]) -
             "direction": DIRECTION,
         },
         "aggregates": {
-            "type_i_rate": sum(r.error == ERROR_TYPE_I for r in records) / n,
-            "type_ii_rate": sum(r.error == ERROR_TYPE_II for r in records) / n,
-            "accepted_count": sum(r.decision == DECISION_ACCEPTED for r in records),
-            "rejected_count": sum(r.decision == DECISION_REJECTED for r in records),
-            "indeterminate_count": sum(r.decision == DECISION_INDETERMINATE for r in records),
-            "mean_delta_mpe": sum(r.summary.delta_mpe for r in records) / n,
-            "welch_rejection_rate": sum(r.welch_p < 0.05 for r in records) / n,
+            "type_i_rate": sum(row["error"] == ERROR_TYPE_I for row in rows) / n,
+            "type_ii_rate": sum(row["error"] == ERROR_TYPE_II for row in rows) / n,
+            "accepted_count": sum(row["decision"] == DECISION_ACCEPTED for row in rows),
+            "rejected_count": sum(row["decision"] == DECISION_REJECTED for row in rows),
+            "indeterminate_count": sum(row["decision"] == DECISION_INDETERMINATE for row in rows),
+            "mean_delta_mpe": sum(row["delta_mpe"] for row in rows) / n,
+            "welch_rejection_rate": sum(row["welch_p"] < 0.05 for row in rows) / n,
         },
-        "records": [
-            {
-                "index": r.index,
-                "dataset_seed": r.dataset_seed,
-                **_summary_dict(r.summary),
-                "decision": r.decision,
-                "strict_decision": r.strict_decision,
-                "error": r.error,
-                "welch_p": r.welch_p,
-            }
-            for r in records
-        ],
+        "records": rows,
     }
 
 

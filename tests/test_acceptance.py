@@ -299,8 +299,8 @@ def test_c7_property_suites():
         failures.append("mu1 draws did not shift exactly")
     if not np.allclose(moved.sigma2_1, base.sigma2_1, rtol=1e-9, atol=0):
         failures.append("sigma2_1 draws changed under translation")
-    d0 = effect_size_series(base)
-    d1 = effect_size_series(moved)
+    d0 = effect_size_series(base, direction="g1-g2")
+    d1 = effect_size_series(moved, direction="g1-g2")
     if not np.allclose(d1, d0, rtol=1e-9, atol=1e-12):
         failures.append("effect-size draws changed under translation")
 

@@ -34,20 +34,20 @@ def chain_of(mu1, mu2, s1, s2, n1=10, n2=10):
 
 
 def test_effect_size_unit_pooled_sd():
-    draws = effect_size_series(chain_of([1.0], [0.0], [1.0], [1.0]))
+    draws = effect_size_series(chain_of([1.0], [0.0], [1.0], [1.0]), direction="g1-g2")
     assert draws[0] == 1.0
 
 
 def test_effect_size_equal_means_is_zero():
-    draws = effect_size_series(chain_of([2.5], [2.5], [0.7], [3.1]))
+    draws = effect_size_series(chain_of([2.5], [2.5], [0.7], [3.1]), direction="g1-g2")
     assert draws[0] == 0.0
 
 
 def test_effect_size_medium_scenario_value():
     chain = chain_of([255.84], [254.08], [3.04**2], [2.36**2], n1=7, n2=7)
-    assert abs(effect_size_series(chain)[0]) == pytest.approx(0.6467, abs=1e-4)
+    assert abs(effect_size_series(chain, direction="g1-g2")[0]) == pytest.approx(0.6467, abs=1e-4)
     # frozen hand value of the same expression
-    assert effect_size_series(chain)[0] == pytest.approx(0.6467441997007768, rel=1e-12)
+    assert effect_size_series(chain, direction="g1-g2")[0] == pytest.approx(0.6467441997007768, rel=1e-12)
 
 
 def test_effect_size_direction_flag():
@@ -61,7 +61,7 @@ def test_effect_size_direction_flag():
 
 def test_effect_size_requires_three_observations():
     with pytest.raises(InsufficientSize):
-        effect_size_series(chain_of([1.0], [0.0], [1.0], [1.0], n1=1, n2=1))
+        effect_size_series(chain_of([1.0], [0.0], [1.0], [1.0], n1=1, n2=1), direction="g1-g2")
 
 
 def test_delta_mpe():

@@ -77,11 +77,11 @@ def test_single_dataset_study_aggregates_equal_record():
     )
     records = run_study(cfg)
     assert len(records) == 1
-    rec = records[0]
-    agg = study_result_dict(cfg, records)["aggregates"]
-    assert agg["mean_delta_mpe"] == rec.summary.delta_mpe
-    assert agg["type_i_rate"] == float(rec.error == "type-I")
-    assert agg["accepted_count"] == int(rec.decision == "accepted")
+    result = study_result_dict(cfg, records)
+    agg, row = result["aggregates"], result["records"][0]
+    assert agg["mean_delta_mpe"] == row["delta_mpe"] == records[0].summary.delta_mpe
+    assert agg["type_i_rate"] == float(row["error"] == "type-I")
+    assert agg["accepted_count"] == int(row["decision"] == "accepted")
 
 
 def test_study_is_pure_function_of_config():

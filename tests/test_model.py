@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from mixtt.distributions import RngState
-from mixtt.errors import DegenerateData, EmptyGroup, InsufficientSize, NonPositiveParameter, NonPositiveVariance
+from mixtt.errors import (
+    ConfigInvalid,
+    DegenerateData,
+    EmptyGroup,
+    InsufficientSize,
+    NonPositiveParameter,
+    NonPositiveVariance,
+)
 from mixtt.harness import Scenario, generate_dataset
 from mixtt.model import (
     GroupedSample,
@@ -133,6 +140,15 @@ def test_prior_validation():
         IndependencePrior(0.0, -1.0, 1.0, 1.0)
     with pytest.raises(NonPositiveParameter):
         IndependencePrior(0.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_prior_rejects_non_finite_hyperparameters(position, bad):
+    values = [0.0, 1.0, 1.0, 1.0]
+    values[position] = bad
+    with pytest.raises(ConfigInvalid, match="finite"):
+        IndependencePrior(*values)
 
 
 def test_preset_validation():
