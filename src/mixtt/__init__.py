@@ -26,11 +26,9 @@ from .analysis import (
 from .distributions import (
     RngState,
     derive_seed,
-    sample_gamma,
     sample_inverse_gamma,
     sample_normal,
 )
-from .errors import MixttError
 from .gibbs import ChainConfig, PosteriorChain, gibbs_sweep, run_chain
 from .harness import (
     Scenario,
@@ -58,7 +56,6 @@ __all__ = [
     "GroupedSample",
     "HpdInterval",
     "IndependencePrior",
-    "MixttError",
     "PosteriorChain",
     "PosteriorSummary",
     "PriorPreset",
@@ -85,7 +82,6 @@ __all__ = [
     "realize_preset",
     "run_chain",
     "run_study",
-    "sample_gamma",
     "sample_inverse_gamma",
     "sample_normal",
     "summarize",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDraws, InvalidLevel
 from .gibbs import PosteriorChain
 from .model import pooled_sd
 
@@ -97,11 +96,11 @@ def density_grid(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises
     ------
-    DegenerateDraws
+    ValueError
         If all draws are identical (no density estimate exists).
     """
     if np.all(draws == draws[0]):
-        raise DegenerateDraws("all draws identical; no density estimate exists")
+        raise ValueError("all draws identical; no density estimate exists")
     grid = np.linspace(draws.min(), draws.max(), _DENSITY_GRID_POINTS)
     return grid, kde_density(draws, grid)
 
@@ -120,16 +119,14 @@ def hpd_interval(draws: np.ndarray, level: float) -> HpdInterval:
 
     Raises
     ------
-    InvalidLevel
+    ValueError
         If ``level`` is outside (0, 1].
     """
     if not 0.0 < level <= 1.0:
-        raise InvalidLevel(f"credible level must be in (0, 1], got {level}")
+        raise ValueError(f"credible level must be in (0, 1], got {level}")
     d = np.sort(draws)
     m = d.size
     w = math.ceil(level * m)
-    if w < 1:
-        w = 1
     widths = d[w - 1 :] - d[: m - w + 1]
     j = int(np.argmin(widths))  # argmin takes the first minimum: smallest lower bound
     return HpdInterval(level=level, lower=float(d[j]), upper=float(d[j + w - 1]))

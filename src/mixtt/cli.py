@@ -4,8 +4,11 @@ Three subcommands: ``analyze`` fits one dataset and writes a report,
 ``simulate`` runs a Monte Carlo study over a built-in scenario, and
 ``sensitivity`` compares prior presets on the same data. Every command
 requires ``--seed``; there is no wall-clock seeding, so rerunning a command
-with identical flags produces byte-identical output files. Exit status is 0
-on success and nonzero with a diagnostic on stderr otherwise.
+with identical flags produces byte-identical output files.
+
+Exit status is 0 on success. Any rejected input or unreadable file exits 2
+with ``mixtt: error: <message>`` on stderr; an argparse usage error also
+exits 2, with argparse's usage and error lines. A traceback means a defect.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 import sys
 
 from .analysis import DIRECTIONS, effect_size_series, posterior_mode, summarize
-from .errors import MixttError
 from .gibbs import ChainConfig, run_chain
 from .harness import (
     DEFAULT_ALPHA,
@@ -99,7 +101,7 @@ def _prior_from_args(args: argparse.Namespace, sample: GroupedSample) -> tuple[I
     if all(v is None for v in custom):
         return realize_preset(PriorPreset(args.prior), sample), args.prior
     if any(v is None for v in custom):
-        raise MixttError("a custom prior needs all four of --b0 --B0 --c0 --C0")
+        raise ValueError("a custom prior needs all four of --b0 --B0 --c0 --C0")
     return IndependencePrior(*custom), "custom"
 
 
@@ -187,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:  # MixttError subclasses ValueError
+    except (ValueError, OSError) as exc:
         print(f"mixtt: error: {exc}", file=sys.stderr)
         return 2
     return 0

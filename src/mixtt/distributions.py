@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonPositiveParameter, NonPositiveVariance
-
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 # 2^-53, so ((u64 >> 11) + 0.5) * _U53 is uniform on the open interval (0, 1)
@@ -99,11 +97,11 @@ def sample_normal(rng: RngState, mean: float, variance: float) -> float:
 
     Raises
     ------
-    NonPositiveVariance
+    ValueError
         If ``variance <= 0``.
     """
     if variance <= 0.0:
-        raise NonPositiveVariance(f"variance must be > 0, got {variance}")
+        raise ValueError(f"variance must be > 0, got {variance}")
     return mean + math.sqrt(variance) * standard_normal(rng)
 
 
@@ -125,27 +123,24 @@ def _standard_gamma(rng: RngState, shape: float) -> float:
             return d * v
 
 
-def sample_gamma(rng: RngState, shape: float, rate: float = 1.0) -> float:
-    """Draw from Gamma(shape, rate), density proportional to x^(shape-1) e^(-rate*x).
-
-    Shapes below one use the boost g * u^(1/shape) on a draw with shape+1.
-    """
-    if shape <= 0.0 or rate <= 0.0:
-        raise NonPositiveParameter(f"shape and rate must be > 0, got ({shape}, {rate})")
-    if shape < 1.0:
-        g = _standard_gamma(rng, shape + 1.0)
-        return g * rng.random_unit() ** (1.0 / shape) / rate
-    return _standard_gamma(rng, shape) / rate
-
-
 def sample_inverse_gamma(rng: RngState, shape: float, scale: float) -> float:
     """Draw from IG(shape, scale), density proportional to x^(-shape-1) e^(-scale/x).
 
     Equals 1/g for g ~ Gamma(shape, rate=scale); always strictly positive.
+    Shapes below one draw g with the boost g' * u^(1/shape) on a draw g'
+    with shape+1.
+
+    Raises
+    ------
+    ValueError
+        If ``shape`` or ``scale`` is not finite and > 0.
     """
-    if shape <= 0.0 or scale <= 0.0:
-        raise NonPositiveParameter(f"shape and scale must be > 0, got ({shape}, {scale})")
-    return 1.0 / sample_gamma(rng, shape, scale)
+    if not (0.0 < shape < math.inf and 0.0 < scale < math.inf):
+        raise ValueError(f"shape and scale must be finite and > 0, got ({shape}, {scale})")
+    if shape < 1.0:
+        g = _standard_gamma(rng, shape + 1.0)
+        return 1.0 / (g * rng.random_unit() ** (1.0 / shape) / scale)
+    return 1.0 / (_standard_gamma(rng, shape) / scale)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -189,7 +184,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b), accurate to about 1e-14."""
     if a <= 0.0 or b <= 0.0:
-        raise NonPositiveParameter(f"beta parameters must be > 0, got ({a}, {b})")
+        raise ValueError(f"beta parameters must be > 0, got ({a}, {b})")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:

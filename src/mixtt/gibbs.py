@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import RngState, sample_inverse_gamma, sample_normal
-from .errors import ConfigInvalid, NonPositiveVariance
 from .model import GroupedSample, IndependencePrior, SufficientStats, compute_sufficient_stats
 
 # floor for the variance initialization so constant-valued groups can start
@@ -44,9 +43,9 @@ class ChainConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ConfigInvalid(f"iterations must be >= 1, got {self.iterations}")
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 <= self.burn_in < self.iterations:
-            raise ConfigInvalid(
+            raise ValueError(
                 f"burn-in must satisfy 0 <= burn_in < iterations, got "
                 f"{self.burn_in} vs {self.iterations}"
             )
@@ -78,7 +77,7 @@ def mu_conditional_params(
     + b0/B0).
     """
     if sigma2_k <= 0.0:
-        raise NonPositiveVariance(f"sigma2_k must be > 0, got {sigma2_k}")
+        raise ValueError(f"sigma2_k must be > 0, got {sigma2_k}")
     inv_B0 = 1.0 / prior.B0
     B_k = 1.0 / (inv_B0 + n_k / sigma2_k)
     b_k = B_k * (n_k * ybar_k / sigma2_k + prior.b0 * inv_B0)

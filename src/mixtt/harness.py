@@ -24,7 +24,6 @@ from .analysis import (
     normalize_rope,
     summarize,
 )
-from .errors import ConfigInvalid, InsufficientSize, UnknownScenario
 from .distributions import RngState, derive_seed, sample_normal
 from .gibbs import ChainConfig, run_chain
 from .model import PRESET_KINDS, GroupedSample, PriorPreset, pooled_sd, realize_preset
@@ -52,7 +51,7 @@ DIRECTION = "g2-g1"
 def scenario_params(kind: str) -> tuple[float, float, float, float, float]:
     """Component parameters (mu1, sd1, mu2, sd2) and true effect size of a built-in scenario."""
     if kind not in _SCENARIOS:
-        raise UnknownScenario(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
+        raise ValueError(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
     mu1, sd1, mu2, sd2 = _SCENARIOS[kind]
     return mu1, sd1, mu2, sd2, (mu2 - mu1) / math.sqrt((sd1 * sd1 + sd2 * sd2) / 2.0)
 
@@ -77,7 +76,7 @@ class Scenario:
 def generate_dataset(scenario: Scenario, n_per_group: int, rng: RngState) -> GroupedSample:
     """Draw a balanced dataset: n from component 1, then n from component 2."""
     if n_per_group < 2:
-        raise InsufficientSize(f"need at least 2 observations per group, got {n_per_group}")
+        raise ValueError(f"need at least 2 observations per group, got {n_per_group}")
     v1 = scenario.sd1 * scenario.sd1
     v2 = scenario.sd2 * scenario.sd2
     values = [sample_normal(rng, scenario.mu1, v1) for _ in range(n_per_group)]
@@ -102,9 +101,9 @@ class StudyConfig:
 
     def __post_init__(self):
         if self.n_datasets < 1:
-            raise ConfigInvalid(f"n_datasets must be >= 1, got {self.n_datasets}")
+            raise ValueError(f"n_datasets must be >= 1, got {self.n_datasets}")
         if not 0.0 < self.alpha <= 1.0:
-            raise ConfigInvalid(f"alpha must be in (0, 1], got {self.alpha}")
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         object.__setattr__(self, "rope", normalize_rope(self.rope))
 
 
@@ -165,15 +164,14 @@ def prior_sensitivity(
 
     Raises
     ------
-    ConfigInvalid
-        If fewer than two presets are given or a kind repeats; no chain runs.
-    InsufficientSize
-        If the sample is too small for a pooled standard deviation; no chain runs.
+    ValueError
+        If fewer than two presets are given, a kind repeats, or the sample
+        is too small for a pooled standard deviation; no chain runs.
     """
     presets = list(presets)
     kinds = [preset.kind for preset in presets]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):
-        raise ConfigInvalid(f"sensitivity needs at least two presets of distinct kinds, got {kinds}")
+        raise ValueError(f"sensitivity needs at least two presets of distinct kinds, got {kinds}")
     pooled_sd(1.0, 1.0, sample.n1, sample.n2)  # the effect size's size check, before any chain runs
     records = []
     for preset in presets:

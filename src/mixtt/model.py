@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigInvalid, DegenerateData, EmptyGroup, InsufficientSize, NonPositiveParameter, NonPositiveVariance,
-)
 
 # A kind's index here is its chain's stream in a sensitivity comparison, so
 # reordering or inserting kinds would change every sensitivity output.
@@ -59,7 +56,7 @@ class GroupedSample:
         self.group1 = v[a == 1]
         self.group2 = v[a == 2]
         if self.group1.size == 0 or self.group2.size == 0:
-            raise EmptyGroup("both groups need at least one observation")
+            raise ValueError("both groups need at least one observation")
         with np.errstate(over="ignore"):  # an overflow is reported just below
             dev = v - v.mean()
             ssd = dev @ dev
@@ -127,11 +124,11 @@ class IndependencePrior:
     def __post_init__(self):
         values = (self.b0, self.B0, self.c0, self.C0)
         if not all(math.isfinite(v) for v in values):
-            raise ConfigInvalid(f"prior hyperparameters (b0, B0, c0, C0) must be finite, got {values}")
+            raise ValueError(f"prior hyperparameters (b0, B0, c0, C0) must be finite, got {values}")
         if self.B0 <= 0.0:
-            raise NonPositiveParameter(f"B0 must be > 0, got {self.B0}")
+            raise ValueError(f"B0 must be > 0, got {self.B0}")
         if self.c0 <= 0.0 or self.C0 <= 0.0:
-            raise NonPositiveParameter(f"c0 and C0 must be > 0, got ({self.c0}, {self.C0})")
+            raise ValueError(f"c0 and C0 must be > 0, got ({self.c0}, {self.C0})")
 
 
 @dataclass(frozen=True)
@@ -185,13 +182,13 @@ def realize_preset(preset: PriorPreset, sample: GroupedSample) -> IndependencePr
 
     Raises
     ------
-    DegenerateData
+    ValueError
         If the pooled sample variance is zero.
     """
     xbar = float(sample.values.mean())
     s2 = float(sample.values.var(ddof=1))
     if s2 <= 0.0:
-        raise DegenerateData("pooled sample variance is zero; a data-scaled prior is undefined")
+        raise ValueError("pooled sample variance is zero; a data-scaled prior is undefined")
     mult, c0, C0 = _PRESET_TABLE[preset.kind]
     return IndependencePrior(b0=xbar, B0=mult * s2, c0=c0, C0=C0)
 
@@ -204,17 +201,16 @@ def pooled_sd(sigma2_1, sigma2_2, n1: int, n2: int):
 
     Raises
     ------
-    InsufficientSize
-        If n1 + n2 < 3 (the divisor would vanish).
-    NonPositiveVariance
-        If any variance is not strictly positive.
+    ValueError
+        If n1 + n2 < 3 (the divisor would vanish) or any variance is not
+        strictly positive.
     """
     if n1 + n2 < 3:
-        raise InsufficientSize(f"need n1 + n2 >= 3, got {n1} + {n2}")
+        raise ValueError(f"need n1 + n2 >= 3, got {n1} + {n2}")
     v1 = np.asarray(sigma2_1, dtype=float)
     v2 = np.asarray(sigma2_2, dtype=float)
     if np.any(v1 <= 0.0) or np.any(v2 <= 0.0):
-        raise NonPositiveVariance("variances must be > 0")
+        raise ValueError("variances must be > 0")
     if n1 == n2:
         # algebraically the same, but keeps the balanced case exact in floats
         out = np.sqrt((v1 + v2) / 2.0)

@@ -86,7 +86,6 @@ from .analysis import (
     density_grid,
     hpd_decision,
 )
-from .errors import ParseError
 from .gibbs import ChainConfig, PosteriorChain
 from .harness import DIRECTION, DatasetRecord, PresetSummary, StudyConfig
 from .model import GroupedSample, IndependencePrior
@@ -101,7 +100,7 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
 
     Raises
     ------
-    ParseError
+    ValueError
         On a malformed header, row, or value; messages carry line numbers.
     """
     values: list[float] = []
@@ -111,33 +110,33 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ParseError(f"{path}: empty file")
+            raise ValueError(f"{path}: empty file")
         header = [h.strip().lower() for h in header]
         if header != ["value", "group"]:
-            raise ParseError(f"{path}: line 1: expected header 'value,group', got {','.join(header)!r}")
+            raise ValueError(f"{path}: line 1: expected header 'value,group', got {','.join(header)!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
             if len(row) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+                raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
             try:
                 value = float(row[0])
             except ValueError:
-                raise ParseError(f"{path}: line {lineno}: not a number: {row[0]!r}") from None
+                raise ValueError(f"{path}: line {lineno}: not a number: {row[0]!r}") from None
             if not math.isfinite(value):
-                raise ParseError(f"{path}: line {lineno}: not a finite number: {row[0]!r}")
+                raise ValueError(f"{path}: line {lineno}: not a finite number: {row[0]!r}")
             values.append(value)
             labels.append(row[1].strip())
             if labels[-1] not in distinct:
                 distinct[labels[-1]] = None
                 if len(distinct) > 2:
-                    raise ParseError(f"{path}: line {lineno}: more than two group labels: {[*distinct]!r}")
+                    raise ValueError(f"{path}: line {lineno}: more than two group labels: {[*distinct]!r}")
     if not values:
-        raise ParseError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     try:
         return GroupedSample.from_labels(values, labels)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def analysis_dict(
@@ -303,7 +302,7 @@ def write_plot_data(deltas: np.ndarray, hpd: HpdInterval, path: str | Path) -> N
 
     Raises
     ------
-    DegenerateDraws
+    ValueError
         If all draws are identical (no density estimate exists).
     """
     grid, dens = density_grid(deltas)

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 from .distributions import regularized_incomplete_beta
-from .errors import DegenerateData, InsufficientSize
 from .model import GroupedSample
 
 
@@ -26,19 +25,18 @@ def welch_t_test(sample: GroupedSample) -> WelchResult:
 
     Raises
     ------
-    InsufficientSize
-        If either group has fewer than two observations.
-    DegenerateData
-        If both group variances are zero.
+    ValueError
+        If either group has fewer than two observations or both group
+        variances are zero.
     """
     g1, g2 = sample.group1, sample.group2
     n1, n2 = g1.size, g2.size
     if n1 < 2 or n2 < 2:
-        raise InsufficientSize(f"each group needs >= 2 observations, got {n1} and {n2}")
+        raise ValueError(f"each group needs >= 2 observations, got {n1} and {n2}")
     v1 = float(g1.var(ddof=1))
     v2 = float(g2.var(ddof=1))
     if v1 == 0.0 and v2 == 0.0:
-        raise DegenerateData("both group variances are zero; the t statistic is undefined")
+        raise ValueError("both group variances are zero; the t statistic is undefined")
     q1 = v1 / n1
     q2 = v2 / n2
     se2 = q1 + q2

@@ -7,7 +7,6 @@ import pytest
 from mixtt.analysis import HpdInterval
 from mixtt.cli import main
 from mixtt.distributions import RngState, sample_normal
-from mixtt.errors import DegenerateDraws
 from mixtt.model import GroupedSample, compute_sufficient_stats
 from mixtt.reports import read_sample_csv, write_json, write_plot_data
 
@@ -99,7 +98,7 @@ def test_plot_data_rejects_constant_draws(tmp_path, value):
     # 1.0 gives an sd of exactly 0; 0.3 gives a rounding-sized sd and a
     # bandwidth near 1e-17, which would make a spike instead of an error
     draws = np.full(50, value)
-    with pytest.raises(DegenerateDraws):
+    with pytest.raises(ValueError, match="all draws identical"):
         write_plot_data(draws, HpdInterval(0.95, value, value), tmp_path / "plot.csv")
 
 

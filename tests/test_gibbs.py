@@ -14,7 +14,6 @@ from _oracles import (
 
 from mixtt import gibbs
 from mixtt.distributions import RngState
-from mixtt.errors import ConfigInvalid, NonPositiveVariance
 from mixtt.gibbs import (
     ChainConfig,
     gibbs_sweep,
@@ -52,7 +51,7 @@ def test_mu_params_flat_prior_limit():
 
 
 def test_mu_params_rejects_bad_variance():
-    with pytest.raises(NonPositiveVariance):
+    with pytest.raises(ValueError, match="sigma2_k must be > 0"):
         mu_conditional_params(0.0, 4, 2.0, PRIOR)
 
 
@@ -121,9 +120,9 @@ def test_run_chain_seed_contract():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ValueError, match="burn-in"):
         ChainConfig(100, 100, 1, PRIOR)
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ValueError, match="iterations must be >= 1"):
         ChainConfig(0, 0, 1, PRIOR)
 
 

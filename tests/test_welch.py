@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from mixtt.errors import DegenerateData, InsufficientSize
 from mixtt.model import GroupedSample
 from mixtt.welch import welch_t_test
 
@@ -100,7 +99,7 @@ def test_power_of_two_scale_is_exact():
 
 
 def test_errors():
-    with pytest.raises(InsufficientSize):
+    with pytest.raises(ValueError, match=">= 2 observations"):
         welch_t_test(make_sample([1.0], [2.0, 3.0]))
-    with pytest.raises(DegenerateData):
+    with pytest.raises(ValueError, match="variances are zero"):
         welch_t_test(make_sample([1.0, 1.0], [2.0, 2.0]))
