@@ -66,33 +66,11 @@ def delta_mpe(draws: np.ndarray) -> float:
     return float(min(max(draws.mean(), draws.min()), draws.max()))
 
 
-def silverman_bandwidth(values: np.ndarray) -> float:
-    """Rule-of-thumb kernel bandwidth 0.9 * min(sd, IQR/1.34) * m^(-1/5)."""
-    x = np.asarray(values, dtype=float)
-    sd = float(x.std(ddof=1))
-    q25, q75 = np.percentile(x, [25.0, 75.0])
-    spread = min(sd, (q75 - q25) / 1.34)
-    if spread <= 0.0:
-        spread = sd
-    return 0.9 * spread * x.size ** (-0.2)
-
-
-def kde_density(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Gaussian kernel density of the values ``x`` evaluated on ``grid``."""
-    h = silverman_bandwidth(x)
-    out = np.empty(grid.size)
-    norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
-    # block over the grid to bound the broadcast temporaries
-    for start in range(0, grid.size, 64):
-        block = grid[start : start + 64, None]
-        out[start : start + 64] = np.exp(-0.5 * ((block - x[None, :]) / h) ** 2).sum(axis=1)
-    return out * norm
-
-
 def density_grid(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel density estimate of the draws on a uniform grid over [min, max].
+    """Gaussian kernel density estimate of the draws on a uniform grid over [min, max].
 
-    Returns ``(grid, density)``.
+    The bandwidth is Silverman's rule of thumb, 0.9 * min(sd, IQR/1.34) *
+    m^(-1/5). Returns ``(grid, density)``.
 
     Raises
     ------
@@ -102,7 +80,18 @@ def density_grid(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.all(draws == draws[0]):
         raise ValueError("all draws identical; no density estimate exists")
     grid = np.linspace(draws.min(), draws.max(), _DENSITY_GRID_POINTS)
-    return grid, kde_density(draws, grid)
+    sd = float(draws.std(ddof=1))
+    q25, q75 = np.percentile(draws, [25.0, 75.0])
+    spread = min(sd, (q75 - q25) / 1.34)
+    if spread <= 0.0:
+        spread = sd
+    h = 0.9 * spread * draws.size ** (-0.2)
+    dens = np.empty(grid.size)
+    # block over the grid to bound the broadcast temporaries
+    for start in range(0, grid.size, 64):
+        block = grid[start : start + 64, None]
+        dens[start : start + 64] = np.exp(-0.5 * ((block - draws[None, :]) / h) ** 2).sum(axis=1)
+    return grid, dens * (1.0 / (draws.size * h * math.sqrt(2.0 * math.pi)))
 
 
 def posterior_mode(draws: np.ndarray) -> float:
@@ -165,9 +154,7 @@ def pmp(draws: np.ndarray, cells) -> tuple[str, float]:
 
 
 def normalize_rope(rope) -> tuple[tuple[float, float], ...]:
-    """Coerce a rope given as (lo, hi) or an iterable of such pairs."""
-    if len(rope) == 2 and np.isscalar(rope[0]):
-        rope = (rope,)
+    """Check and sort a rope given as an iterable of (lo, hi) pairs."""
     out = []
     for lo, hi in rope:
         lo, hi = float(lo), float(hi)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .analysis import DIRECTIONS, effect_size_series, posterior_mode, summarize
 from .gibbs import ChainConfig, run_chain
@@ -144,6 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args: argparse.Namespace) -> None:
+    if args.plot_data is not None and Path(args.plot_data).resolve() == Path(args.output).resolve():
+        raise ValueError(f"--plot-data and --output name the same file: {args.output}")
     sample = read_sample_csv(args.input)
     prior, preset_kind = _prior_from_args(args, sample)
     welch = welch_t_test(sample)  # fails on a one-row group before any chain runs

@@ -53,19 +53,13 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class PosteriorChain:
-    """Post-burn-in draws of (mu1, mu2, sigma2_1, sigma2_2), stored column-wise.
-
-    ``len(chain)`` equals ``iterations - burn_in``.
-    """
+    """Post-burn-in draws of (mu1, mu2, sigma2_1, sigma2_2), stored column-wise."""
 
     mu1: np.ndarray = field(repr=False)
     mu2: np.ndarray = field(repr=False)
     sigma2_1: np.ndarray = field(repr=False)
     sigma2_2: np.ndarray = field(repr=False)
     stats: SufficientStats
-
-    def __len__(self) -> int:
-        return int(self.mu1.size)
 
 
 def mu_conditional_params(

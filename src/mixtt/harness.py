@@ -79,10 +79,9 @@ def generate_dataset(scenario: Scenario, n_per_group: int, rng: RngState) -> Gro
         raise ValueError(f"need at least 2 observations per group, got {n_per_group}")
     v1 = scenario.sd1 * scenario.sd1
     v2 = scenario.sd2 * scenario.sd2
-    values = [sample_normal(rng, scenario.mu1, v1) for _ in range(n_per_group)]
-    values += [sample_normal(rng, scenario.mu2, v2) for _ in range(n_per_group)]
-    allocations = [1] * n_per_group + [2] * n_per_group
-    return GroupedSample(values, allocations)
+    group1 = [sample_normal(rng, scenario.mu1, v1) for _ in range(n_per_group)]
+    group2 = [sample_normal(rng, scenario.mu2, v2) for _ in range(n_per_group)]
+    return GroupedSample(group1, group2)
 
 
 @dataclass(frozen=True)

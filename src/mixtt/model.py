@@ -20,43 +20,36 @@ PRESET_KINDS = ("wide", "medium", "narrow")
 
 
 class GroupedSample:
-    """Paired observations and group allocations for a two-group comparison.
+    """The observations of the two groups being compared.
 
     Parameters
     ----------
-    values : array-like of float
-        Observations, in measurement units.
-    allocations : array-like of int
-        Group identifier (1 or 2) for each observation.
+    group1, group2 : array-like of float
+        Each group's observations, in measurement units.
 
-    Both sequences must have equal length, every value must be finite, the
-    square of the sum of squared deviations about the pooled mean must not
-    overflow, and each group must be non-empty.
+    Both groups must be one-dimensional and non-empty, every value must be
+    finite, and the square of the sum of squared deviations about the pooled
+    mean must not overflow. ``values`` holds group 1's observations followed
+    by group 2's, so everything derived from a sample depends only on each
+    group's values in order, never on how the two groups were interleaved.
     Instances are immutable by convention; do not mutate the arrays.
     """
 
-    __slots__ = ("values", "allocations", "group1", "group2")
+    __slots__ = ("values", "group1", "group2")
 
-    def __init__(self, values, allocations):
-        v = np.asarray(values, dtype=float)
-        a = np.asarray(allocations)
-        if v.ndim != 1 or a.ndim != 1:
-            raise ValueError("values and allocations must be one-dimensional")
-        if v.size != a.size:
-            raise ValueError(f"length mismatch: {v.size} values vs {a.size} allocations")
+    def __init__(self, group1, group2):
+        g1 = np.asarray(group1, dtype=float)
+        g2 = np.asarray(group2, dtype=float)
+        if g1.ndim != 1 or g2.ndim != 1:
+            raise ValueError("each group must be one-dimensional")
+        if g1.size == 0 or g2.size == 0:
+            raise ValueError("both groups need at least one observation")
+        v = np.concatenate((g1, g2))
         if not np.isfinite(v).all():
             raise ValueError("values must all be finite")
-        # checked before the integer cast, which would truncate 1.7 to 1
-        bad = set(a[(a != 1) & (a != 2)].tolist())
-        if bad:
-            raise ValueError(f"allocations must be 1 or 2, got {sorted(bad)}")
-        a = a.astype(int)
         self.values = v
-        self.allocations = a
-        self.group1 = v[a == 1]
-        self.group2 = v[a == 2]
-        if self.group1.size == 0 or self.group2.size == 0:
-            raise ValueError("both groups need at least one observation")
+        self.group1 = g1
+        self.group2 = g2
         with np.errstate(over="ignore"):  # an overflow is reported just below
             dev = v - v.mean()
             ssd = dev @ dev
@@ -68,20 +61,23 @@ class GroupedSample:
 
     @classmethod
     def from_labels(cls, values, labels) -> "GroupedSample":
-        """Build a sample from arbitrary group labels.
+        """Build a sample from one group label per value.
 
         The first distinct label encountered maps to group 1, the second to
-        group 2; more than two distinct labels is an error.
+        group 2; each group keeps its values in the given order. Unequal
+        lengths or more than two distinct labels is an error.
         """
-        mapping: dict[object, int] = {}
-        allocations = []
-        for lab in labels:
-            if lab not in mapping:
-                if len(mapping) == 2:
-                    raise ValueError(f"more than two group labels: {[*mapping, lab]!r}")
-                mapping[lab] = len(mapping) + 1
-            allocations.append(mapping[lab])
-        return cls(values, allocations)
+        if len(values) != len(labels):
+            raise ValueError(f"length mismatch: {len(values)} values vs {len(labels)} labels")
+        groups: tuple[list, list] = ([], [])
+        index: dict[object, int] = {}
+        for value, lab in zip(values, labels):
+            if lab not in index:
+                if len(index) == 2:
+                    raise ValueError(f"more than two group labels: {[*index, lab]!r}")
+                index[lab] = len(index)
+            groups[index[lab]].append(value)
+        return cls(*groups)
 
     @property
     def n1(self) -> int:
@@ -90,9 +86,6 @@ class GroupedSample:
     @property
     def n2(self) -> int:
         return int(self.group2.size)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)

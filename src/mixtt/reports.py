@@ -1,7 +1,10 @@
 """File formats: CSV ingestion, JSON reports, and plot-data export.
 
-Input CSV has a ``value,group`` header; the group column may hold any string
-labels, and the first distinct label becomes group 1. Reports are JSON with
+Input CSV has a ``value,group`` header. Each value is a finite number without
+``_`` digit separators; the group column holds exactly two distinct non-blank
+labels, and the first label in the file becomes group 1. A report depends
+only on each group's values in file order and on which label comes first,
+not on how the two groups' rows are interleaved. Reports are JSON with
 sorted keys and floats in shortest round-trip notation, so identical runs
 produce byte-identical files.
 
@@ -120,15 +123,20 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
             if len(row) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
             try:
+                if "_" in row[0]:  # float() would read 1_0 as 10
+                    raise ValueError
                 value = float(row[0])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: not a number: {row[0]!r}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}: line {lineno}: not a finite number: {row[0]!r}")
+            label = row[1].strip()
+            if not label:
+                raise ValueError(f"{path}: line {lineno}: empty group label")
             values.append(value)
-            labels.append(row[1].strip())
-            if labels[-1] not in distinct:
-                distinct[labels[-1]] = None
+            labels.append(label)
+            if label not in distinct:
+                distinct[label] = None
                 if len(distinct) > 2:
                     raise ValueError(f"{path}: line {lineno}: more than two group labels: {[*distinct]!r}")
     if not values:

@@ -180,7 +180,7 @@ def test_sign_flip_negates_mpe_and_mirrors_hpd():
 
 
 def test_alpha_decision_containment_cases():
-    rope = (-0.2, 0.2)
+    rope = ((-0.2, 0.2),)
     assert alpha_decision(np.linspace(0.0, 0.1, 50), rope, 1.0) == DECISION_ACCEPTED
     assert alpha_decision(np.linspace(0.3, 0.5, 50), rope, 1.0) == DECISION_REJECTED
     assert alpha_decision(np.linspace(0.1, 0.3, 50), rope, 1.0) == DECISION_INDETERMINATE
@@ -196,11 +196,11 @@ def test_alpha_decision_union_rope():
 
 def test_alpha_decision_invalid_level():
     with pytest.raises(ValueError, match="credible level"):
-        alpha_decision(np.array([0.0, 1.0]), (-0.2, 0.2), 0.0)
+        alpha_decision(np.array([0.0, 1.0]), ((-0.2, 0.2),), 0.0)
 
 
 def test_classify_error_definitions():
-    rope = (-0.2, 0.2)
+    rope = ((-0.2, 0.2),)
     assert classify_error(0.0, rope, DECISION_REJECTED) == ERROR_TYPE_I
     assert classify_error(1.03, rope, DECISION_ACCEPTED) == ERROR_TYPE_II
     assert classify_error(0.0, rope, DECISION_ACCEPTED) == ERROR_NONE
@@ -210,9 +210,7 @@ def test_classify_error_definitions():
 
 def test_mode_matches_kitchen_sink_chain():
     # end to end: mode and mean summarize the same unimodal posterior closely
-    sample = GroupedSample(
-        list(np.linspace(-1, 1, 30)) + list(np.linspace(0, 2, 30)), [1] * 30 + [2] * 30
-    )
+    sample = GroupedSample(np.linspace(-1, 1, 30), np.linspace(0, 2, 30))
     prior = IndependencePrior(0.0, 10.0, 1.0, 1.0)
     chain = run_chain(sample, ChainConfig(6000, 1000, 6, prior))
     draws = effect_size_series(chain, direction="g2-g1")

@@ -166,6 +166,28 @@ def test_non_finite_value_rejected_with_line_number(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def test_underscore_value_rejected_with_line_number(tmp_path, capsys):
+    # float() reads 1_0 as 10
+    path = tmp_path / "bad.csv"
+    path.write_text("value,group\n1.0,a\n2.0,b\n1_0,a\n3.0,b\n")
+    out = tmp_path / "r.json"
+    rc = run_cli("analyze", "--input", path, "--output", out, "--seed", 1)
+    assert rc == 2
+    assert "line 4: not a number: '1_0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["", "  "], ids=["empty", "blank"])
+def test_blank_group_label_rejected_with_line_number(tmp_path, capsys, label):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"value,group\n1.0,a\n2.0,b\n3.0,{label}\n4.0,b\n")
+    out = tmp_path / "r.json"
+    rc = run_cli("analyze", "--input", path, "--output", out, "--seed", 1)
+    assert rc == 2
+    assert "line 4: empty group label" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
@@ -255,7 +277,7 @@ def test_csv_round_trip_preserves_stats(tmp_path):
         alloc = rng.integers(1, 3, 40)
         alloc[0] = rng.integers(1, 3)  # first row may belong to either group
         alloc[:2] = [2, 1] if alloc[0] == 2 else [1, 2]
-        sample = GroupedSample(rng.normal(0, 1, 40), alloc)
+        sample = GroupedSample.from_labels(rng.normal(0, 1, 40), alloc)
         path = tmp_path / "round.csv"
         write_sample_csv(sample, path)
         again = read_sample_csv(path)
@@ -364,6 +386,38 @@ def test_bad_arguments_fail_before_any_chain(data_csv, tmp_path, monkeypatch, co
     except SystemExit as exc:  # argparse rejects a bad flag value with status 2
         rc = exc.code
     assert rc == 2
+
+
+def test_plot_data_same_path_as_output_rejected(data_csv, tmp_path, monkeypatch, capsys):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr("mixtt.cli.read_sample_csv", no_read)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "r.json"
+    rc = run_cli("analyze", "--input", data_csv, "--output", out, "--plot-data", "r.json", "--seed", 1)
+    assert rc == 2
+    assert "same file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_does_not_depend_on_row_interleaving(tmp_path):
+    rng = np.random.default_rng(0)
+    rows1 = [f"{v!r},a\n" for v in rng.normal(15.0, 3.4, 300).tolist()]
+    rows2 = [f"{v!r},b\n" for v in rng.normal(19.9, 5.8, 300).tolist()]
+    layouts = {
+        "grouped": rows1 + rows2,
+        "interleaved": [row for pair in zip(rows1, rows2) for row in pair],
+    }
+    reports = []
+    for name, rows in layouts.items():
+        data, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        data.write_text("value,group\n" + "".join(rows))
+        rc = run_cli("analyze", "--input", data, "--output", out,
+                     "--seed", 1, "--iters", 600, "--burnin", 100)
+        assert rc == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("existing", [False, True])

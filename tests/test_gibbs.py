@@ -33,10 +33,6 @@ from mixtt.model import (
 PRIOR = IndependencePrior(b0=0.0, B0=1.0, c0=0.01, C0=0.01)
 
 
-def make_sample(g1, g2):
-    return GroupedSample(list(g1) + list(g2), [1] * len(g1) + [2] * len(g2))
-
-
 def test_mu_params_hand_example():
     b, B = mu_conditional_params(1.0, 4, 2.0, PRIOR)
     assert B == pytest.approx(0.2, abs=1e-15)
@@ -82,7 +78,7 @@ def test_sigma2_shape_depends_only_on_count():
 
 
 def test_sweep_deterministic():
-    sample = make_sample([0.1, 0.5, 1.2], [2.0, 2.5])
+    sample = GroupedSample([0.1, 0.5, 1.2], [2.0, 2.5])
     stats = compute_sufficient_stats(sample)
     current = initial_draw(stats)
     a = gibbs_sweep(current, sample, stats, PRIOR, RngState(7))
@@ -92,7 +88,7 @@ def test_sweep_deterministic():
 
 def test_sweep_survives_zero_residuals():
     # all values equal the current mean: C_k collapses to C0, draw must stay valid
-    sample = make_sample([2.0, 2.0, 2.0], [5.0, 5.0])
+    sample = GroupedSample([2.0, 2.0, 2.0], [5.0, 5.0])
     stats = compute_sufficient_stats(sample)
     current = (2.0, 5.0, 1.0, 1.0)
     for seed in range(20):
@@ -102,15 +98,15 @@ def test_sweep_survives_zero_residuals():
 
 
 def test_run_chain_retention_counts():
-    sample = make_sample([0.0, 1.0, 2.0], [3.0, 4.0])
+    sample = GroupedSample([0.0, 1.0, 2.0], [3.0, 4.0])
     chain = run_chain(sample, ChainConfig(5001, 5000, 1, PRIOR))
-    assert len(chain) == 1
+    assert chain.mu1.size == 1
     chain = run_chain(sample, ChainConfig(10_000, 5_000, 1, PRIOR))
-    assert len(chain) == 5000
+    assert chain.mu1.size == 5000
 
 
 def test_run_chain_seed_contract():
-    sample = make_sample([0.0, 1.0, 2.0], [3.0, 4.0])
+    sample = GroupedSample([0.0, 1.0, 2.0], [3.0, 4.0])
     a = run_chain(sample, ChainConfig(500, 100, 42, PRIOR))
     b = run_chain(sample, ChainConfig(500, 100, 42, PRIOR))
     c = run_chain(sample, ChainConfig(500, 100, 43, PRIOR))
@@ -131,7 +127,7 @@ def test_pinned_sigma2_mu_matches_conditional(monkeypatch):
     # normal conditional; check both with a KS test at the 1e-3 level. The
     # stub stands in for each sweep's two variance draws (sigma2_1, then
     # sigma2_2) and consumes no RNG words.
-    sample = make_sample([4.2, 5.1, 4.8, 5.6, 4.4], [6.3, 5.9, 7.1, 6.5, 6.8])
+    sample = GroupedSample([4.2, 5.1, 4.8, 5.6, 4.4], [6.3, 5.9, 7.1, 6.5, 6.8])
     stats = compute_sufficient_stats(sample)
     prior = IndependencePrior(b0=5.0, B0=2.0, c0=1.0, C0=1.0)
     pin = (2.0, 3.0)
@@ -156,8 +152,8 @@ def test_translation_equivariance_wide_preset():
     g1, g2 = rng.normal(3, 1, 10), rng.normal(4, 2, 10)
     shift = 250.0
 
-    base_sample = make_sample(g1, g2)
-    shifted_sample = make_sample(g1 + shift, g2 + shift)
+    base_sample = GroupedSample(g1, g2)
+    shifted_sample = GroupedSample(g1 + shift, g2 + shift)
     base = run_chain(base_sample, ChainConfig(3000, 500, 99, realize_preset(PriorPreset("wide"), base_sample)))
     moved = run_chain(shifted_sample, ChainConfig(3000, 500, 99, realize_preset(PriorPreset("wide"), shifted_sample)))
 
@@ -176,7 +172,7 @@ def test_translation_equivariance_wide_preset():
 def test_sweep_moments_match_quadrature():
     # 50k sweeps on a 5+5 dataset vs 2-D quadrature of the group-1 posterior,
     # within 3 batch-means standard errors on mean, variance, and covariance
-    sample = make_sample([4.2, 5.1, 4.8, 5.6, 4.4], [6.3, 5.9, 7.1, 6.5, 6.8])
+    sample = GroupedSample([4.2, 5.1, 4.8, 5.6, 4.4], [6.3, 5.9, 7.1, 6.5, 6.8])
     prior = IndependencePrior(b0=5.5, B0=4.0, c0=3.0, C0=2.0)
     chain = run_chain(sample, ChainConfig(52_000, 2_000, 314159, prior))
     oracle = group_posterior_moments(sample.group1, prior)

@@ -15,49 +15,44 @@ from mixtt.model import (
 )
 
 
-def make_sample(g1, g2):
-    return GroupedSample(list(g1) + list(g2), [1] * len(g1) + [2] * len(g2))
-
-
 def test_sample_validation():
-    with pytest.raises(ValueError):
-        GroupedSample([1.0, 2.0], [1])
-    with pytest.raises(ValueError):
-        GroupedSample([1.0, 2.0], [1, 3])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        GroupedSample([[1.0, 2.0]], [3.0])
     with pytest.raises(ValueError, match="at least one observation"):
-        GroupedSample([1.0, 2.0], [1, 1])
-
-
-def test_sample_rejects_fractional_allocations():
-    with pytest.raises(ValueError, match=r"\[1\.7, 2\.2\]"):
-        GroupedSample([1.0, 2.0, 3.0], [1.7, 2.2, 1.0])
-    # integer-valued floats are still labels 1 and 2
-    s = GroupedSample([1.0, 2.0, 3.0], [1.0, 2.0, 1.0])
-    assert list(s.group1) == [1.0, 3.0] and list(s.group2) == [2.0]
+        GroupedSample([1.0, 2.0], [])
+    with pytest.raises(ValueError, match="at least one observation"):
+        GroupedSample([], [1.0, 2.0])
+    s = GroupedSample([1.0, 3.0], [2.0])
+    assert list(s.values) == [1.0, 3.0, 2.0]
+    assert (s.n1, s.n2) == (2, 1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sample_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="finite"):
-        GroupedSample([1.0, bad, 3.0, 4.0], [1, 1, 2, 2])
+        GroupedSample([1.0, bad], [3.0, 4.0])
 
 
 def test_sample_rejects_overflowing_squared_deviations():
     # every value is finite, but their squared deviations overflow to inf
     with pytest.raises(ValueError, match="overflows"):
-        GroupedSample([1e200, 2e200, 1.0, 3.0], [1, 1, 2, 2])
+        GroupedSample([1e200, 2e200], [1.0, 3.0])
 
 
 def test_from_labels_first_seen_is_group_one():
     s = GroupedSample.from_labels([10.0, 20.0, 30.0], ["treat", "ctrl", "treat"])
     assert list(s.group1) == [10.0, 30.0]
     assert list(s.group2) == [20.0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more than two group labels"):
         GroupedSample.from_labels([1.0, 2.0, 3.0], ["a", "b", "c"])
+    with pytest.raises(ValueError, match="length mismatch"):
+        GroupedSample.from_labels([1.0, 2.0, 3.0], ["a", "b"])
+    with pytest.raises(ValueError, match="at least one observation"):
+        GroupedSample.from_labels([1.0, 2.0], ["a", "a"])
 
 
 def test_sufficient_stats_hand_example():
-    stats = compute_sufficient_stats(make_sample([1.0, 2.0, 3.0], [4.0, 6.0]))
+    stats = compute_sufficient_stats(GroupedSample([1.0, 2.0, 3.0], [4.0, 6.0]))
     assert (stats.n1, stats.n2) == (3, 2)
     assert stats.ybar1 == pytest.approx(2.0, abs=1e-15)
     assert stats.ybar2 == pytest.approx(5.0, abs=1e-15)
@@ -66,7 +61,7 @@ def test_sufficient_stats_hand_example():
 
 
 def test_sufficient_stats_constant_data():
-    stats = compute_sufficient_stats(make_sample([7.5, 7.5], [7.5, 7.5]))
+    stats = compute_sufficient_stats(GroupedSample([7.5, 7.5], [7.5, 7.5]))
     assert stats.ybar1 == stats.ybar2 == 7.5
     assert stats.s2y1 == stats.s2y2 == 0.0
 
@@ -82,12 +77,13 @@ def test_sufficient_stats_null_scenario_scale():
 def test_sufficient_stats_permutation_invariant():
     rng = np.random.default_rng(1)
     values = rng.normal(0, 1, 30)
-    alloc = rng.integers(1, 3, 30)
-    alloc[:2] = [1, 2]
-    base = compute_sufficient_stats(GroupedSample(values, alloc))
+    labels = rng.integers(1, 3, 30)
+    labels[:2] = [1, 2]
+    base = compute_sufficient_stats(GroupedSample.from_labels(values, labels))
     for _ in range(5):
-        perm = rng.permutation(30)
-        shuffled = compute_sufficient_stats(GroupedSample(values[perm], alloc[perm]))
+        # row 0 stays first, so label 1 is still the first seen and still group 1
+        perm = np.concatenate(([0], 1 + rng.permutation(29)))
+        shuffled = compute_sufficient_stats(GroupedSample.from_labels(values[perm], labels[perm]))
         for field in ("n1", "n2"):
             assert getattr(shuffled, field) == getattr(base, field)
         for field in ("ybar1", "ybar2", "s2y1", "s2y2"):
@@ -96,9 +92,9 @@ def test_sufficient_stats_permutation_invariant():
 
 def test_translation_equivariance_of_stats():
     g1, g2 = [0.3, 1.9, -0.4], [2.2, 0.1]
-    base = compute_sufficient_stats(make_sample(g1, g2))
+    base = compute_sufficient_stats(GroupedSample(g1, g2))
     c = 17.25
-    shifted = compute_sufficient_stats(make_sample([v + c for v in g1], [v + c for v in g2]))
+    shifted = compute_sufficient_stats(GroupedSample([v + c for v in g1], [v + c for v in g2]))
     assert shifted.ybar1 == pytest.approx(base.ybar1 + c, rel=1e-12)
     assert shifted.ybar2 == pytest.approx(base.ybar2 + c, rel=1e-12)
     assert shifted.s2y1 == pytest.approx(base.s2y1, rel=1e-9, abs=1e-12)
@@ -152,7 +148,7 @@ def test_preset_validation():
 
 def test_realize_preset_table():
     # sample with pooled mean 10 and pooled variance 4
-    sample = make_sample([8.0, 10.0], [12.0])
+    sample = GroupedSample([8.0, 10.0], [12.0])
     assert float(sample.values.mean()) == 10.0
     assert float(sample.values.var(ddof=1)) == 4.0
 
@@ -169,13 +165,13 @@ def test_realize_preset_table():
 
 def test_realize_preset_degenerate_data():
     with pytest.raises(ValueError, match="pooled sample variance is zero"):
-        realize_preset(PriorPreset("wide"), make_sample([3.0, 3.0], [3.0, 3.0]))
+        realize_preset(PriorPreset("wide"), GroupedSample([3.0, 3.0], [3.0, 3.0]))
 
 
 def test_realize_preset_translation():
     rng = np.random.default_rng(3)
     g1, g2 = rng.normal(0, 1, 12), rng.normal(1, 2, 12)
-    base = realize_preset(PriorPreset("wide"), make_sample(g1, g2))
-    shifted = realize_preset(PriorPreset("wide"), make_sample(g1 + 5.0, g2 + 5.0))
+    base = realize_preset(PriorPreset("wide"), GroupedSample(g1, g2))
+    shifted = realize_preset(PriorPreset("wide"), GroupedSample(g1 + 5.0, g2 + 5.0))
     assert shifted.b0 == pytest.approx(base.b0 + 5.0, rel=1e-12)
     assert shifted.B0 == pytest.approx(base.B0, rel=1e-9)
