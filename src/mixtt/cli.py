@@ -144,9 +144,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_distinct_paths(*flags: tuple[str, str | None]) -> None:
+    """Reject two (flag, path) pairs that resolve to the same file; run before any read."""
+    seen: dict[Path, str] = {}
+    for flag, value in flags:
+        if value is None:
+            continue
+        path = Path(value).resolve()
+        if path in seen:
+            raise ValueError(f"{seen[path]} and {flag} name the same file: {value}")
+        seen[path] = flag
+
+
 def cmd_analyze(args: argparse.Namespace) -> None:
-    if args.plot_data is not None and Path(args.plot_data).resolve() == Path(args.output).resolve():
-        raise ValueError(f"--plot-data and --output name the same file: {args.output}")
+    _check_distinct_paths(
+        ("--input", args.input), ("--output", args.output), ("--plot-data", args.plot_data))
     sample = read_sample_csv(args.input)
     prior, preset_kind = _prior_from_args(args, sample)
     welch = welch_t_test(sample)  # fails on a one-row group before any chain runs
@@ -179,6 +191,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> None:
+    _check_distinct_paths(("--input", args.input), ("--output", args.output))
     sample = read_sample_csv(args.input)
     presets = [PriorPreset(name.strip()) for name in args.presets.split(",") if name.strip()]
     records = prior_sensitivity(sample, presets, args.seed, args.iters, args.burnin, args.alpha)

@@ -65,6 +65,10 @@ class RngState:
         if self._s0 == self._s1 == self._s2 == self._s3 == 0:
             self._s0 = _SPLITMIX_GAMMA  # xoshiro must never start all-zero
 
+    def state_words(self) -> tuple[int, int, int, int]:
+        """The four 64-bit state words, from which the compiled chain continues the stream."""
+        return self._s0, self._s1, self._s2, self._s3
+
     def next_u64(self) -> int:
         """Advance the state and return the next 64-bit word."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3

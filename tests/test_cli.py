@@ -401,6 +401,26 @@ def test_plot_data_same_path_as_output_rejected(data_csv, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, target",
+    [("analyze", "--output"), ("analyze", "--plot-data"), ("sensitivity", "--output")],
+)
+def test_output_onto_input_rejected_before_any_read(data_csv, tmp_path, monkeypatch, capsys,
+                                                    command, target):
+    def no_call(*args, **kwargs):
+        raise AssertionError("the input was read or a chain was started")
+
+    for name in ("mixtt.cli.read_sample_csv", "mixtt.cli.run_chain", "mixtt.harness.run_chain"):
+        monkeypatch.setattr(name, no_call)
+    monkeypatch.chdir(data_csv.parent)
+    before = data_csv.read_bytes()
+    paths = {"--output": tmp_path / "r.json", target: "./" + data_csv.name}
+    rc = run_cli(command, "--input", data_csv, "--seed", 1, *[a for kv in paths.items() for a in kv])
+    assert rc == 2
+    assert f"--input and {target} name the same file" in capsys.readouterr().err
+    assert data_csv.read_bytes() == before
+
+
 def test_report_does_not_depend_on_row_interleaving(tmp_path):
     rng = np.random.default_rng(0)
     rows1 = [f"{v!r},a\n" for v in rng.normal(15.0, 3.4, 300).tolist()]
