@@ -1,11 +1,13 @@
-/* Compiled Gibbs chain for mixtt.gibbs.run_chain.
+/* Compiled Gibbs chain for mixtt.gibbs.run_chain and normal draws for
+ * mixtt.harness.generate_dataset.
  *
  * run_chain() repeats, operation for operation, the Python sweep in
  * gibbs.py and the variates in distributions.py: xoshiro256++ words,
  * Box-Muller normals, and Marsaglia-Tsang gammas with the shape < 1 boost,
- * with every float expression written in the same order. Built without
- * FMA contraction (-ffp-contract=off) and calling the same libm as the
- * interpreter, it therefore yields bit-identical draws.
+ * with every float expression written in the same order. normals() repeats
+ * distributions.sample_normal the same way. Built without FMA contraction
+ * (-ffp-contract=off) and calling the same libm as the interpreter, both
+ * therefore yield bit-identical draws.
  *
  * Wherever the Python sweep would raise (a shape or scale that is not finite
  * and > 0, a variance <= 0, a log of a non-positive number, a division by
@@ -146,4 +148,18 @@ int run_chain(const uint64_t seed[4], const double stats[6], const double prior[
         }
     }
     return 0;
+}
+
+/* n draws of mean + sqrt(variance) * N(0, 1) into out, as n calls of
+ * distributions.sample_normal would make them. The stream continues from the
+ * xoshiro256++ words in state, which are overwritten with the advanced
+ * state. The caller passes only a variance sample_normal accepts (> 0). */
+void normals(uint64_t state[4], double mean, double variance, int64_t n, double *out)
+{
+    rng_t rng = {{state[0], state[1], state[2], state[3]}};
+    double sd = sqrt(variance);
+    for (int64_t i = 0; i < n; i++)
+        out[i] = mean + sd * standard_normal(&rng);
+    for (int k = 0; k < 4; k++)
+        state[k] = rng.s[k];
 }

@@ -13,6 +13,13 @@ per call, nothing cached), gamma draws use the Marsaglia-Tsang squeeze
 method with the shape<1 boost, and the regularized incomplete beta function
 behind Welch p-values is a continued fraction evaluated with Lentz's
 algorithm.
+
+The generator, :func:`standard_normal`, :func:`sample_normal` and
+:func:`sample_inverse_gamma` have bit-identical C twins in ``_kernel.c``:
+:func:`mixtt.gibbs.run_chain` draws a whole chain's variates there, and
+:func:`mixtt.harness.generate_dataset` draws a group's normals there, each
+continuing the stream from :meth:`RngState.state_words`. The functions here
+stay the reference definitions and the fallback where no kernel is built.
 """
 
 from __future__ import annotations
@@ -66,8 +73,12 @@ class RngState:
             self._s0 = _SPLITMIX_GAMMA  # xoshiro must never start all-zero
 
     def state_words(self) -> tuple[int, int, int, int]:
-        """The four 64-bit state words, from which the compiled chain continues the stream."""
+        """The four 64-bit state words, from which the compiled kernel continues the stream."""
         return self._s0, self._s1, self._s2, self._s3
+
+    def set_state_words(self, words) -> None:
+        """Move the state to the four 64-bit words the compiled kernel advanced it to."""
+        self._s0, self._s1, self._s2, self._s3 = words
 
     def next_u64(self) -> int:
         """Advance the state and return the next 64-bit word."""

@@ -16,12 +16,18 @@ an O(1) expression, so a sweep costs the same at any sample size.
 :func:`run_chain` first tries the compiled kernel in ``_kernel.c``, which
 runs the whole chain in C with the same float expressions in the same
 order and so gives bit-identical draws. It is compiled with ``cc`` on the
-first chain of a process and cached in the package's ``__pycache__`` under
-a hash of its source and flags. Where no compiler or cache works, and
-wherever the kernel gives up (on any input where the Python sweep would
-raise or carry a non-finite value), the chain runs in Python through
-:func:`gibbs_sweep`, which stays the reference definition. Tests select the
-Python path by setting the module's ``_kernel`` handle to None.
+first chain or dataset of a process and cached in the package's
+``__pycache__`` under a hash of its source and flags. Where no compiler or
+cache works, and wherever the kernel gives up (on any input where the
+Python sweep would raise or carry a non-finite value), the chain runs in
+Python through :func:`gibbs_sweep`, which stays the reference definition.
+
+The C twins of the generator and of both variates in
+:mod:`mixtt.distributions` serve the chain. The same library also holds a
+twin of :func:`~mixtt.distributions.sample_normal` alone, through which
+:func:`mixtt.harness.generate_dataset` draws each group. The module's one
+``_kernel`` handle chooses the path for both; tests select the Python path
+for chains and data alike by setting it to None.
 
 The chain state is a plain ``(mu1, mu2, sigma2_1, sigma2_2)`` tuple of
 floats; :func:`run_chain` writes the kept sweeps straight into
@@ -56,7 +62,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # the draws, so the kernel would no longer match the Python sweep.
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _UNLOADED = object()
-# the compiled chain function; None where it cannot be built or loaded
+# the compiled library, with run_chain and normals bound; None where it cannot be built or loaded
 _kernel = _UNLOADED
 
 
@@ -200,16 +206,19 @@ def _compile_kernel(cc: str, path: Path) -> None:
 
 
 def _bind_kernel(path: Path):
-    fn = ctypes.CDLL(str(path)).run_chain
+    lib = ctypes.CDLL(str(path))
+    u64_p = ctypes.POINTER(ctypes.c_uint64)
     double_p = ctypes.POINTER(ctypes.c_double)
-    fn.argtypes = [ctypes.POINTER(ctypes.c_uint64), double_p, double_p, ctypes.c_int64,
-                   ctypes.c_int64, *[ctypes.c_void_p] * 4]
-    fn.restype = ctypes.c_int
-    return fn
+    lib.run_chain.argtypes = [u64_p, double_p, double_p, ctypes.c_int64, ctypes.c_int64,
+                              *[ctypes.c_void_p] * 4]
+    lib.run_chain.restype = ctypes.c_int
+    lib.normals.argtypes = [u64_p, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
+    lib.normals.restype = None
+    return lib
 
 
 def _load_kernel():
-    """The compiled chain function, built on first use; None if it cannot be built or loaded.
+    """The compiled library, built on first use; None if it cannot be built or loaded.
 
     The shared library is cached in the package's ``__pycache__`` under the
     SHA-256 of the source and flags. Where that directory is not writable,
@@ -236,11 +245,17 @@ def _load_kernel():
         return None
 
 
-def run_chain(sample: GroupedSample, config: ChainConfig) -> PosteriorChain:
-    """Run a seeded chain and return the post-burn-in draws in sweep order."""
+def _loaded_kernel():
+    """The ``_kernel`` handle, loading the library on the first call of a process."""
     global _kernel
     if _kernel is _UNLOADED:
         _kernel = _load_kernel()
+    return _kernel
+
+
+def run_chain(sample: GroupedSample, config: ChainConfig) -> PosteriorChain:
+    """Run a seeded chain and return the post-burn-in draws in sweep order."""
+    kernel = _loaded_kernel()
     stats = compute_sufficient_stats(sample)
     prior = config.prior
     rng = RngState(config.seed)
@@ -249,7 +264,7 @@ def run_chain(sample: GroupedSample, config: ChainConfig) -> PosteriorChain:
     mu2 = np.empty(kept)
     s2_1 = np.empty(kept)
     s2_2 = np.empty(kept)
-    gave_up = _kernel is None or _kernel(
+    gave_up = kernel is None or kernel.run_chain(
         (ctypes.c_uint64 * 4)(*rng.state_words()),
         (ctypes.c_double * 6)(stats.n1, stats.n2, stats.ybar1, stats.ybar2, stats.s2y1, stats.s2y2),
         (ctypes.c_double * 4)(prior.b0, prior.B0, prior.c0, prior.C0),

@@ -11,12 +11,21 @@ configuration.
 Reported effect sizes use the group2-minus-group1 direction, and the true
 effect size of a scenario uses the unpooled denominator
 sqrt((sd1^2 + sd2^2) / 2); for balanced groups the two denominators agree.
+
+:func:`generate_dataset` draws each group's normals in the compiled kernel
+that also runs the chains (see :mod:`mixtt.gibbs`), whose C twin of
+:func:`~mixtt.distributions.sample_normal` gives bit-identical values and
+leaves the stream where the Python draws would. Without the kernel it calls
+:func:`~mixtt.distributions.sample_normal` once per value.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .analysis import (
     PosteriorSummary,
@@ -25,7 +34,7 @@ from .analysis import (
     summarize,
 )
 from .distributions import RngState, derive_seed, sample_normal
-from .gibbs import ChainConfig, run_chain
+from .gibbs import ChainConfig, _loaded_kernel, run_chain
 from .model import PRESET_KINDS, GroupedSample, PriorPreset, pooled_sd, realize_preset
 from .welch import welch_t_test
 
@@ -73,14 +82,26 @@ class Scenario:
         return cls(kind, mu1, sd1, mu2, sd2, delta)
 
 
+def _normals(rng: RngState, mean: float, variance: float, n: int):
+    """n draws of N(mean, variance), as n calls of sample_normal would make them."""
+    kernel = _loaded_kernel()
+    if kernel is None or variance <= 0.0:  # sample_normal raises on such a variance
+        return [sample_normal(rng, mean, variance) for _ in range(n)]
+    words = (ctypes.c_uint64 * 4)(*rng.state_words())
+    out = np.empty(n)
+    kernel.normals(words, mean, variance, n, out.ctypes.data)
+    rng.set_state_words(words)
+    return out
+
+
 def generate_dataset(scenario: Scenario, n_per_group: int, rng: RngState) -> GroupedSample:
     """Draw a balanced dataset: n from component 1, then n from component 2."""
     if n_per_group < 2:
         raise ValueError(f"need at least 2 observations per group, got {n_per_group}")
     v1 = scenario.sd1 * scenario.sd1
     v2 = scenario.sd2 * scenario.sd2
-    group1 = [sample_normal(rng, scenario.mu1, v1) for _ in range(n_per_group)]
-    group2 = [sample_normal(rng, scenario.mu2, v2) for _ in range(n_per_group)]
+    group1 = _normals(rng, scenario.mu1, v1, n_per_group)
+    group2 = _normals(rng, scenario.mu2, v2, n_per_group)
     return GroupedSample(group1, group2)
 
 

@@ -1,16 +1,19 @@
-"""The compiled chain kernel against the Python sweep it must reproduce bit for bit.
+"""The compiled kernel against the Python code it must reproduce bit for bit.
 
-``run_chain`` runs the chain in ``_kernel.c`` when it can; setting
-``gibbs._kernel`` to None makes it run :func:`gibbs_sweep` in Python.
+``run_chain`` runs the chain in ``_kernel.c`` when it can, and
+``generate_dataset`` draws each group's normals there. Setting
+``gibbs._kernel`` to None makes the chain run :func:`gibbs_sweep` and the
+data call :func:`sample_normal`, both in Python.
 """
 
+import math
 import shutil
 import tempfile
 
 import numpy as np
 import pytest
 
-from mixtt import gibbs
+from mixtt import gibbs, harness
 from mixtt.cli import main as cli_main
 from mixtt.distributions import RngState, derive_seed
 from mixtt.gibbs import ChainConfig, run_chain, sigma2_conditional_params, sigma2_params_from_stats
@@ -53,6 +56,64 @@ def _assert_same_draws(a, b):
 def test_kernel_is_in_use_when_a_compiler_exists():
     run_chain(GroupedSample([0.0, 1.0, 2.0], [3.0, 4.0]), ChainConfig(10, 5, 1, IndependencePrior(0, 1, 1, 1)))
     assert gibbs._kernel is not None
+
+
+@needs_cc
+@pytest.mark.parametrize("scenario, n", [*ACCEPTANCE_PAIRS, ("small", 2)])
+def test_kernel_data_and_stream_position_equal_python(monkeypatch, scenario, n):
+    def draw():
+        rng = RngState(derive_seed(derive_seed(SEED, 0), 0))
+        sample = generate_dataset(Scenario.named(scenario), n, rng)
+        return sample, rng.next_u64()
+
+    kernel_sample, kernel_next = draw()
+    monkeypatch.setattr(gibbs, "_kernel", None)
+    python_sample, python_next = draw()
+    assert np.array_equal(kernel_sample.group1, python_sample.group1)
+    assert np.array_equal(kernel_sample.group2, python_sample.group2)
+    assert kernel_next == python_next
+
+
+@needs_cc
+def test_generate_dataset_uses_the_kernel_when_a_compiler_exists(monkeypatch):
+    def fallback(*args):
+        raise AssertionError("generate_dataset drew its normals in Python")
+
+    monkeypatch.setattr(harness, "sample_normal", fallback)
+    sample = generate_dataset(Scenario.named("small"), 50, RngState(1))
+    assert sample.group1.size == sample.group2.size == 50
+
+
+class _VarianceSpy:
+    """A kernel handle that records the variance of every normals() call."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.variances = []
+
+    def normals(self, words, mean, variance, n, out):
+        self.variances.append(variance)
+        self.kernel.normals(words, mean, variance, n, out)
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "sd1, message", [(0.0, "variance must be > 0, got 0.0"), (math.nan, "values must all be finite")]
+)
+def test_bad_scenario_raises_the_same_error_on_both_paths(monkeypatch, sd1, message):
+    scenario = Scenario("bad", 1.0, sd1, 2.0, 1.5, 0.0)
+
+    def error():
+        with pytest.raises(ValueError, match=message) as info:
+            generate_dataset(scenario, 10, RngState(1))
+        return str(info.value)
+
+    spy = _VarianceSpy(gibbs._loaded_kernel())
+    monkeypatch.setattr(gibbs, "_kernel", spy)
+    kernel_error = error()
+    assert not any(v <= 0.0 for v in spy.variances)  # the C side never sees a variance sample_normal rejects
+    monkeypatch.setattr(gibbs, "_kernel", None)
+    assert error() == kernel_error
 
 
 @needs_cc
