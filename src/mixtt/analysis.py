@@ -180,9 +180,9 @@ def hpd_decision(interval: HpdInterval, rope, strict: bool = False) -> str:
     return DECISION_REJECTED if strict else DECISION_INDETERMINATE
 
 
-def alpha_decision(draws: np.ndarray, rope, alpha: float, strict: bool = False) -> str:
+def alpha_decision(draws: np.ndarray, rope, alpha: float) -> str:
     """:func:`hpd_decision` on the alpha-level HPD interval of ``draws``."""
-    return hpd_decision(hpd_interval(draws, alpha), rope, strict)
+    return hpd_decision(hpd_interval(draws, alpha), rope)
 
 
 @dataclass(frozen=True)

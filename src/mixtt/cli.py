@@ -6,9 +6,11 @@ Three subcommands: ``analyze`` fits one dataset and writes a report,
 requires ``--seed``; there is no wall-clock seeding, so rerunning a command
 with identical flags produces byte-identical output files.
 
-Exit status is 0 on success. Any rejected input or unreadable file exits 2
-with ``mixtt: error: <message>`` on stderr; an argparse usage error also
-exits 2, with argparse's usage and error lines. A traceback means a defect.
+Exit status is 0 on success. Any rejected input, unreadable file, or run
+too large for memory (``--iters`` or ``--n`` whose arrays cannot be
+allocated) exits 2 with ``mixtt: error: <message>`` on stderr; an argparse
+usage error also exits 2, with argparse's usage and error lines. A
+traceback means a defect.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"mixtt: error: {exc}", file=sys.stderr)
         return 2
     return 0

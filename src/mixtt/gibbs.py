@@ -25,9 +25,10 @@ Python through :func:`gibbs_sweep`, which stays the reference definition.
 The C twins of the generator and of both variates in
 :mod:`mixtt.distributions` serve the chain. The same library also holds a
 twin of :func:`~mixtt.distributions.sample_normal` alone, through which
-:func:`mixtt.harness.generate_dataset` draws each group. The module's one
-``_kernel`` handle chooses the path for both; tests select the Python path
-for chains and data alike by setting it to None.
+:func:`_normals` draws each group of :func:`mixtt.harness.generate_dataset`.
+This module alone binds and calls the library; its one ``_kernel`` handle
+chooses the path for both, and tests select the Python path for chains and
+data alike by setting it to None.
 
 The chain state is a plain ``(mu1, mu2, sigma2_1, sigma2_2)`` tuple of
 floats; :func:`run_chain` writes the kept sweeps straight into
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import importlib.util
 import os
 import shutil
 import tempfile
@@ -53,9 +55,6 @@ import numpy as np
 
 from .distributions import RngState, sample_inverse_gamma, sample_normal
 from .model import GroupedSample, IndependencePrior, SufficientStats, compute_sufficient_stats
-
-# floor for the variance initialization so constant-valued groups can start
-_MIN_INIT_VARIANCE = 1e-8
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # Fixed flags: FMA contraction, -ffast-math or -march=native would change
@@ -167,28 +166,8 @@ def gibbs_sweep(
 
 
 def initial_draw(stats: SufficientStats) -> tuple[float, float, float, float]:
-    """Chain start at the group empirical moments (variances floored above zero)."""
-    return (
-        stats.ybar1,
-        stats.ybar2,
-        max(stats.s2y1, _MIN_INIT_VARIANCE),
-        max(stats.s2y2, _MIN_INIT_VARIANCE),
-    )
-
-
-def _sha256(data: bytes):
-    """SHA-256 from the interpreter's own module where it has one.
-
-    ``hashlib`` loads OpenSSL, which raised a run's peak RSS by about 3.7 MB.
-    """
-    try:
-        from _sha2 import sha256  # Python 3.12+
-    except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
-    return sha256(data)
+    """Chain start at the group empirical moments; a sweep reads only the means."""
+    return stats.ybar1, stats.ybar2, stats.s2y1, stats.s2y2
 
 
 def _compile_kernel(cc: str, path: Path) -> None:
@@ -221,16 +200,18 @@ def _load_kernel():
     """The compiled library, built on first use; None if it cannot be built or loaded.
 
     The shared library is cached in the package's ``__pycache__`` under the
-    SHA-256 of the source and flags. Where that directory is not writable,
-    it is built in a private temporary directory for this process only.
+    interpreter's own :func:`importlib.util.source_hash` of the source and
+    flags (``hashlib`` would load OpenSSL). Where that directory is not
+    writable, it is built in a private temporary directory for this process
+    only.
     """
     import subprocess  # imported here to keep it out of import time
     cc = shutil.which("cc")
     if cc is None:
         return None
     try:
-        key = _sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
-        path = _KERNEL_SOURCE.parent / "__pycache__" / f"_kernel-{key.hexdigest()[:16]}.so"
+        key = importlib.util.source_hash(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
+        path = _KERNEL_SOURCE.parent / "__pycache__" / f"_kernel-{key.hex()}.so"
         if not path.exists():
             try:
                 path.parent.mkdir(exist_ok=True)
@@ -251,6 +232,18 @@ def _loaded_kernel():
     if _kernel is _UNLOADED:
         _kernel = _load_kernel()
     return _kernel
+
+
+def _normals(rng: RngState, mean: float, variance: float, n: int):
+    """n draws of N(mean, variance), as n calls of sample_normal would make them."""
+    kernel = _loaded_kernel()
+    if kernel is None or variance <= 0.0:  # sample_normal raises on such a variance
+        return [sample_normal(rng, mean, variance) for _ in range(n)]
+    words = (ctypes.c_uint64 * 4)(*rng.state_words())
+    out = np.empty(n)
+    kernel.normals(words, mean, variance, n, out.ctypes.data)
+    rng.set_state_words(words)
+    return out
 
 
 def run_chain(sample: GroupedSample, config: ChainConfig) -> PosteriorChain:

@@ -12,20 +12,17 @@ Reported effect sizes use the group2-minus-group1 direction, and the true
 effect size of a scenario uses the unpooled denominator
 sqrt((sd1^2 + sd2^2) / 2); for balanced groups the two denominators agree.
 
-:func:`generate_dataset` draws each group's normals in the compiled kernel
-that also runs the chains (see :mod:`mixtt.gibbs`), whose C twin of
-:func:`~mixtt.distributions.sample_normal` gives bit-identical values and
-leaves the stream where the Python draws would. Without the kernel it calls
-:func:`~mixtt.distributions.sample_normal` once per value.
+:func:`generate_dataset` draws each group's normals through
+``gibbs._normals``, in the compiled kernel that also runs the chains. Its C
+twin of :func:`~mixtt.distributions.sample_normal` gives bit-identical
+values and leaves the stream where the Python draws would; without the
+kernel, ``gibbs._normals`` calls it once per value.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .analysis import (
     PosteriorSummary,
@@ -33,8 +30,8 @@ from .analysis import (
     normalize_rope,
     summarize,
 )
-from .distributions import RngState, derive_seed, sample_normal
-from .gibbs import ChainConfig, _loaded_kernel, run_chain
+from .distributions import RngState, derive_seed
+from .gibbs import ChainConfig, _normals, run_chain
 from .model import PRESET_KINDS, GroupedSample, PriorPreset, pooled_sd, realize_preset
 from .welch import welch_t_test
 
@@ -59,10 +56,8 @@ DIRECTION = "g2-g1"
 
 def scenario_params(kind: str) -> tuple[float, float, float, float, float]:
     """Component parameters (mu1, sd1, mu2, sd2) and true effect size of a built-in scenario."""
-    if kind not in _SCENARIOS:
-        raise ValueError(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
-    mu1, sd1, mu2, sd2 = _SCENARIOS[kind]
-    return mu1, sd1, mu2, sd2, (mu2 - mu1) / math.sqrt((sd1 * sd1 + sd2 * sd2) / 2.0)
+    scenario = Scenario.named(kind)
+    return scenario.mu1, scenario.sd1, scenario.mu2, scenario.sd2, scenario.true_delta
 
 
 @dataclass(frozen=True)
@@ -74,24 +69,17 @@ class Scenario:
     sd1: float
     mu2: float
     sd2: float
-    true_delta: float
+
+    @property
+    def true_delta(self) -> float:
+        """(mu2 - mu1) / sqrt((sd1^2 + sd2^2) / 2), the unpooled effect size."""
+        return (self.mu2 - self.mu1) / math.sqrt((self.sd1 * self.sd1 + self.sd2 * self.sd2) / 2.0)
 
     @classmethod
     def named(cls, kind: str) -> "Scenario":
-        mu1, sd1, mu2, sd2, delta = scenario_params(kind)
-        return cls(kind, mu1, sd1, mu2, sd2, delta)
-
-
-def _normals(rng: RngState, mean: float, variance: float, n: int):
-    """n draws of N(mean, variance), as n calls of sample_normal would make them."""
-    kernel = _loaded_kernel()
-    if kernel is None or variance <= 0.0:  # sample_normal raises on such a variance
-        return [sample_normal(rng, mean, variance) for _ in range(n)]
-    words = (ctypes.c_uint64 * 4)(*rng.state_words())
-    out = np.empty(n)
-    kernel.normals(words, mean, variance, n, out.ctypes.data)
-    rng.set_state_words(words)
-    return out
+        if kind not in _SCENARIOS:
+            raise ValueError(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
+        return cls(kind, *_SCENARIOS[kind])
 
 
 def generate_dataset(scenario: Scenario, n_per_group: int, rng: RngState) -> GroupedSample:

@@ -14,9 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# (B0 multiplier, c0, C0) per named preset; b0 is always the pooled mean.
 # A kind's index here is its chain's stream in a sensitivity comparison, so
 # reordering or inserting kinds would change every sensitivity output.
-PRESET_KINDS = ("wide", "medium", "narrow")
+_PRESET_TABLE = {
+    "wide": (10.0, 0.01, 0.01),
+    "medium": (5.0, 0.1, 0.1),
+    "narrow": (1.0, 1.0, 1.0),
+}
+PRESET_KINDS = tuple(_PRESET_TABLE)
 
 
 class GroupedSample:
@@ -156,14 +162,6 @@ def compute_sufficient_stats(sample: GroupedSample) -> SufficientStats:
         s2y1=float(np.mean((g1 - ybar1) ** 2)),
         s2y2=float(np.mean((g2 - ybar2) ** 2)),
     )
-
-
-# (B0 multiplier, c0, C0) per named preset; b0 is always the pooled mean.
-_PRESET_TABLE = {
-    "wide": (10.0, 0.01, 0.01),
-    "medium": (5.0, 0.1, 0.1),
-    "narrow": (1.0, 1.0, 1.0),
-}
 
 
 def realize_preset(preset: PriorPreset, sample: GroupedSample) -> IndependencePrior:

@@ -16,6 +16,7 @@ from mixtt.analysis import (
     cohen_partition,
     delta_mpe,
     effect_size_series,
+    hpd_decision,
     hpd_interval,
     pmp,
     posterior_mode,
@@ -184,7 +185,7 @@ def test_alpha_decision_containment_cases():
     assert alpha_decision(np.linspace(0.0, 0.1, 50), rope, 1.0) == DECISION_ACCEPTED
     assert alpha_decision(np.linspace(0.3, 0.5, 50), rope, 1.0) == DECISION_REJECTED
     assert alpha_decision(np.linspace(0.1, 0.3, 50), rope, 1.0) == DECISION_INDETERMINATE
-    assert alpha_decision(np.linspace(0.1, 0.3, 50), rope, 1.0, strict=True) == DECISION_REJECTED
+    assert hpd_decision(hpd_interval(np.linspace(0.1, 0.3, 50), 1.0), rope, strict=True) == DECISION_REJECTED
 
 
 def test_alpha_decision_union_rope():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mixtt import gibbs
 from mixtt.analysis import HpdInterval
 from mixtt.cli import main
 from mixtt.distributions import RngState, sample_normal
@@ -256,6 +257,21 @@ def test_values_at_1e70_scale_run(tmp_path, command):
         rc = run_cli(command, "--input", path, "--output", tmp_path / "r.json", "--seed", 1,
                      "--iters", 300, "--burnin", 100)
         assert rc == 0, scale
+
+
+@pytest.mark.parametrize("python_chain", [False, True], ids=["kernel", "python"])
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+def test_run_too_large_for_memory_is_an_error(data_csv, tmp_path, monkeypatch, capsys, command, python_chain):
+    # the chain's draw arrays cannot be allocated, so no sweep runs on either path
+    if python_chain:
+        monkeypatch.setattr(gibbs, "_kernel", None)
+    rc = run_cli(command, "--input", data_csv, "--output", tmp_path / "r.json", "--seed", 1,
+                 "--iters", 100_000_000_000_000, "--burnin", 0)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mixtt: error: Unable to allocate")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_bad_header_rejected(tmp_path, capsys):

@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from mixtt import gibbs, harness
+from mixtt import gibbs
 from mixtt.cli import main as cli_main
 from mixtt.distributions import RngState, derive_seed
 from mixtt.gibbs import ChainConfig, run_chain, sigma2_conditional_params, sigma2_params_from_stats
@@ -79,7 +79,7 @@ def test_generate_dataset_uses_the_kernel_when_a_compiler_exists(monkeypatch):
     def fallback(*args):
         raise AssertionError("generate_dataset drew its normals in Python")
 
-    monkeypatch.setattr(harness, "sample_normal", fallback)
+    monkeypatch.setattr(gibbs, "sample_normal", fallback)
     sample = generate_dataset(Scenario.named("small"), 50, RngState(1))
     assert sample.group1.size == sample.group2.size == 50
 
@@ -101,7 +101,7 @@ class _VarianceSpy:
     "sd1, message", [(0.0, "variance must be > 0, got 0.0"), (math.nan, "values must all be finite")]
 )
 def test_bad_scenario_raises_the_same_error_on_both_paths(monkeypatch, sd1, message):
-    scenario = Scenario("bad", 1.0, sd1, 2.0, 1.5, 0.0)
+    scenario = Scenario("bad", 1.0, sd1, 2.0, 1.5)
 
     def error():
         with pytest.raises(ValueError, match=message) as info:

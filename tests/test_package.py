@@ -29,3 +29,14 @@ def test_cli_import_loads_no_scipy():
     src = str(Path(mixtt.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_kernel():
+    # the kernel compiles on the first chain or dataset, never at import, where it would land in setup time
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import mixtt.cli, mixtt.gibbs as g; "
+        "print(g._kernel is g._UNLOADED)"
+    )
+    src = str(Path(mixtt.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "True"
