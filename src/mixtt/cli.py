@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import DIRECTIONS, effect_size_series, posterior_mode, summarize
+from .analysis import DIRECTIONS, density_grid, effect_size_series, summarize
 from .gibbs import ChainConfig, run_chain
 from .harness import (
     DEFAULT_ALPHA,
@@ -36,12 +36,7 @@ from .harness import (
 )
 from .model import PRESET_KINDS, GroupedSample, IndependencePrior, PriorPreset, realize_preset
 from .reports import (
-    analysis_dict,
-    read_sample_csv,
-    sensitivity_dict,
-    study_result_dict,
-    write_json,
-    write_plot_data,
+    _write_plot_rows, analysis_dict, read_sample_csv, sensitivity_dict, study_result_dict, write_json,
 )
 from .welch import welch_t_test
 
@@ -168,13 +163,14 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     chain = run_chain(sample, config)
     deltas = effect_size_series(chain, direction=args.direction)
     summary = summarize(deltas, args.alpha)
+    grid, dens = density_grid(deltas)  # one evaluation gives the mode and the plot rows
     report = analysis_dict(
-        config, chain, summary, posterior_mode(deltas), welch,
+        config, chain, summary, float(grid[dens.argmax()]), welch,
         preset_kind, args.direction, args.rope, args.strict_decision,
     )
     write_json(report, args.output)
     if args.plot_data is not None:
-        write_plot_data(deltas, summary.hpd, args.plot_data)
+        _write_plot_rows(grid, dens, summary.hpd, args.plot_data)
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:

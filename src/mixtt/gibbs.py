@@ -47,6 +47,7 @@ import ctypes
 import importlib.util
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -199,11 +200,12 @@ def _bind_kernel(path: Path):
 def _load_kernel():
     """The compiled library, built on first use; None if it cannot be built or loaded.
 
-    The shared library is cached in the package's ``__pycache__`` under the
+    The shared library is cached in the package's ``__pycache__`` as
+    ``_kernel-<sys.implementation.cache_tag>-<key>.so``, keyed by the
     interpreter's own :func:`importlib.util.source_hash` of the source and
-    flags (``hashlib`` would load OpenSSL). Where that directory is not
-    writable, it is built in a private temporary directory for this process
-    only.
+    flags (``hashlib`` would load OpenSSL); a fresh build removes that
+    interpreter's older builds. Where the directory is not writable, it is
+    built in a private temporary directory for this process only.
     """
     import subprocess  # imported here to keep it out of import time
     cc = shutil.which("cc")
@@ -211,7 +213,8 @@ def _load_kernel():
         return None
     try:
         key = importlib.util.source_hash(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
-        path = _KERNEL_SOURCE.parent / "__pycache__" / f"_kernel-{key.hex()}.so"
+        tag = sys.implementation.cache_tag
+        path = _KERNEL_SOURCE.parent / "__pycache__" / f"_kernel-{tag}-{key.hex()}.so"
         if not path.exists():
             try:
                 path.parent.mkdir(exist_ok=True)
@@ -221,6 +224,9 @@ def _load_kernel():
                     path = Path(private) / path.name
                     _compile_kernel(cc, path)
                     return _bind_kernel(path)
+            for stale in set(path.parent.glob(f"_kernel-{tag}-*.so")) - {path}:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
         return _bind_kernel(path)
     except (OSError, subprocess.CalledProcessError):
         return None

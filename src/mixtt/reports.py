@@ -63,7 +63,7 @@ variance). A *rope* is a list of ``[lo, hi]`` pairs.
 CSV: 512 ``density`` rows with the grid point and its kernel density, then
 ``hpd_lower`` and ``hpd_upper`` rows and one ``rope_boundary`` row per
 finite category bound (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8), each with ``y``
-empty.
+empty. ``delta_mode`` is the density rows' peak, from the same grid.
 """
 
 from __future__ import annotations
@@ -106,9 +106,7 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
     ValueError
         On a malformed header, row, or value; messages carry line numbers.
     """
-    values: list[float] = []
-    labels: list[str] = []
-    distinct: dict[str, None] = {}  # labels in order of first appearance
+    groups: dict[str, list[float]] = {}  # label -> values, labels in order of first appearance
     with open(path, newline="", encoding="utf-8-sig") as fh:  # tolerates a UTF-8 BOM
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -133,16 +131,13 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
             label = row[1].strip()
             if not label:
                 raise ValueError(f"{path}: line {lineno}: empty group label")
-            values.append(value)
-            labels.append(label)
-            if label not in distinct:
-                distinct[label] = None
-                if len(distinct) > 2:
-                    raise ValueError(f"{path}: line {lineno}: more than two group labels: {[*distinct]!r}")
-    if not values:
+            if label not in groups and len(groups) == 2:
+                raise ValueError(f"{path}: line {lineno}: more than two group labels: {[*groups, label]!r}")
+            groups.setdefault(label, []).append(value)
+    if not groups:
         raise ValueError(f"{path}: no data rows")
     try:
-        return GroupedSample.from_labels(values, labels)
+        return GroupedSample(*[*groups.values(), []][:2])  # one label leaves group 2 empty
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -306,14 +301,18 @@ def write_plot_data(deltas: np.ndarray, hpd: HpdInterval, path: str | Path) -> N
 
     Density rows hold the :func:`~mixtt.analysis.density_grid` points and
     densities; annotation rows (HPD bounds and the conventional category
-    boundaries) leave ``y`` empty.
+    boundaries) leave ``y`` empty. ``mixtt analyze`` writes the grid it took its
+    mode from (:func:`_write_plot_rows`); this form stays for the benchmark's layer ladder.
 
     Raises
     ------
     ValueError
         If all draws are identical (no density estimate exists).
     """
-    grid, dens = density_grid(deltas)
+    _write_plot_rows(*density_grid(deltas), hpd, path)
+
+
+def _write_plot_rows(grid: np.ndarray, dens: np.ndarray, hpd: HpdInterval, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "x", "y"])

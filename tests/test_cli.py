@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mixtt import gibbs
-from mixtt.analysis import HpdInterval
+from mixtt.analysis import HpdInterval, density_grid
 from mixtt.cli import main
 from mixtt.distributions import RngState, sample_normal
 from mixtt.model import GroupedSample, compute_sufficient_stats
@@ -80,6 +80,21 @@ def test_analyze_plot_data_structure(data_csv, tmp_path):
     assert hpd_lower == report["analysis"]["hpd"]["lower"]
     boundaries = sorted(float(r[1]) for r in rows if r[0] == "rope_boundary")
     assert boundaries == [-0.8, -0.5, -0.2, 0.2, 0.5, 0.8]
+
+
+def test_analyze_plot_data_evaluates_the_density_once(data_csv, tmp_path, monkeypatch):
+    calls = []
+
+    def spy(draws):
+        calls.append(draws.size)
+        return density_grid(draws)
+
+    for module in ("analysis", "cli", "reports"):  # every place a caller may look it up
+        monkeypatch.setattr(f"mixtt.{module}.density_grid", spy, raising=False)
+    rc = run_cli("analyze", "--input", data_csv, "--output", tmp_path / "report.json",
+                 "--plot-data", tmp_path / "plot.csv", "--seed", 7, "--iters", 2000, "--burnin", 1000)
+    assert rc == 0
+    assert calls == [1000]
 
 
 def test_delta_mode_is_plot_density_peak(data_csv, tmp_path):
@@ -194,7 +209,8 @@ def test_blank_group_label_rejected_with_line_number(tmp_path, capsys, label):
     [
         ("value,group\n1.0,a\n\n2.0,b\n1.0,a,junk\n3.0,b\n", "line 5"),
         ("value,group,note\n1.0,a\n2.0,b\n3.0,a\n4.0,b\n", "line 1"),
-        ("value,group\n1.0,a\n2.0,b\n\n3.0,c\n4.0,a\n", "line 5"),
+        ("value,group\n1.0,a\n2.0,b\n\n3.0,c\n4.0,a\n",
+         "line 5: more than two group labels: ['a', 'b', 'c']"),
     ],
     ids=["data-row", "header", "third-label"],
 )
@@ -204,6 +220,15 @@ def test_extra_columns_rejected_with_line_number(tmp_path, capsys, text, line):
     rc = run_cli("analyze", "--input", path, "--output", tmp_path / "r.json", "--seed", 1)
     assert rc == 2
     assert line in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+def test_one_label_file_names_the_file(tmp_path, capsys, command):
+    path = tmp_path / "one.csv"
+    path.write_text("value,group\n1.0,a\n\n2.0,a\n3.0,a\n")
+    rc = run_cli(command, "--input", path, "--output", tmp_path / "r.json", "--seed", 1)
+    assert rc == 2
+    assert f"mixtt: error: {path}: both groups need at least one observation\n" == capsys.readouterr().err
 
 
 def test_utf8_bom_is_accepted(tmp_path):

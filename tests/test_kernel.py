@@ -8,6 +8,7 @@ data call :func:`sample_normal`, both in Python.
 
 import math
 import shutil
+import sys
 import tempfile
 
 import numpy as np
@@ -221,8 +222,13 @@ def test_kernel_cache_is_keyed_by_source_and_written_atomically(tmp_path, monkey
     assert gibbs._load_kernel() is not None
     assert sorted((tmp_path / "__pycache__").iterdir()) == built  # reused, not rebuilt
     source.write_text(source.read_text() + "\n/* edited */\n")
+    other = tmp_path / "__pycache__" / "_kernel-other-tag-0000000000000000.so"  # another Python's build
+    other.write_bytes(b"")
     assert gibbs._load_kernel() is not None
-    assert len(list((tmp_path / "__pycache__").iterdir())) == 2
+    rebuilt = sorted(set((tmp_path / "__pycache__").iterdir()) - {other})
+    assert len(rebuilt) == 1 and rebuilt != built  # the stale build is removed
+    assert rebuilt[0].name.startswith(f"_kernel-{sys.implementation.cache_tag}-")
+    assert other.exists()
 
 
 @needs_cc
