@@ -9,11 +9,12 @@
  * (-ffp-contract=off) and calling the same libm as the interpreter, both
  * therefore yield bit-identical draws.
  *
- * Wherever the Python sweep would raise (a shape or scale that is not finite
- * and > 0, a variance <= 0, a log of a non-positive number, a division by
- * zero) or carry a non-finite value, the kernel stops and returns 1; the
- * caller then reruns the chain in Python, which reports the error or
- * returns its own draws. It returns 0 once every kept draw is written.
+ * Each variate returns its draw as its Python twin does, or NAN where the
+ * twin would raise. run_chain() alone decides when to give up: it returns 1
+ * as soon as a sweep draws a variance that is not finite and > 0 or a mean
+ * that is not finite, and the caller then reruns the chain in Python, which
+ * reports the error or returns its own draws. It returns 0 once every kept
+ * draw is written.
  */
 #include <math.h>
 #include <stdint.h>
@@ -52,8 +53,8 @@ static double standard_normal(rng_t *r)
     return sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2);
 }
 
-/* Gamma(shape, 1) for shape >= 1 into *out; 0 on success, 1 to give up. */
-static int standard_gamma(rng_t *r, double shape, double *out)
+/* Gamma(shape, 1) for shape >= 1; NAN where log(v) would raise. */
+static double standard_gamma(rng_t *r, double shape)
 {
     double d = shape - 1.0 / 3.0;
     double c = 1.0 / sqrt(9.0 * d);
@@ -65,50 +66,36 @@ static int standard_gamma(rng_t *r, double shape, double *out)
         double v = t * t * t;
         double u = random_unit(r);
         double x2 = x * x;
-        if (u < 1.0 - 0.0331 * x2 * x2) {
-            *out = d * v;
-            return 0;
-        }
+        if (u < 1.0 - 0.0331 * x2 * x2)
+            return d * v;
         if (!(v > 0.0))
-            return 1;
-        if (log(u) < 0.5 * x2 + d * (1.0 - v + log(v))) {
-            *out = d * v;
-            return 0;
-        }
+            return NAN;
+        if (log(u) < 0.5 * x2 + d * (1.0 - v + log(v)))
+            return d * v;
     }
 }
 
-/* IG(shape, scale) into *out; 0 on success, 1 to give up. */
-static int inverse_gamma(rng_t *r, double shape, double scale, double *out)
+/* IG(shape, scale); NAN unless shape and scale are finite and > 0. */
+static double inverse_gamma(rng_t *r, double shape, double scale)
 {
-    double g, den;
     if (!(0.0 < shape && shape < INFINITY && 0.0 < scale && scale < INFINITY))
-        return 1;
+        return NAN;
     if (shape < 1.0) {
-        if (standard_gamma(r, shape + 1.0, &g))
-            return 1;
-        den = g * pow(random_unit(r), 1.0 / shape) / scale;
-    } else {
-        if (standard_gamma(r, shape, &g))
-            return 1;
-        den = g / scale;
+        /* g first, in a statement of its own: C leaves the order of *'s operands open */
+        double g = standard_gamma(r, shape + 1.0);
+        return 1.0 / (g * pow(random_unit(r), 1.0 / shape) / scale);
     }
-    if (!(den > 0.0 && den < INFINITY))
-        return 1;
-    *out = 1.0 / den;
-    return !(*out > 0.0 && *out < INFINITY);
+    return 1.0 / (standard_gamma(r, shape) / scale);
 }
 
-/* N(b_k, B_k) draw of a group mean given its variance; 0 on success, 1 to give up. */
-static int group_mean(rng_t *r, double sigma2, double n, double ybar,
-                      double b0, double inv_B0, double *out)
+/* N(b_k, B_k) draw of a group mean given its variance; NAN unless B_k is finite and > 0. */
+static double group_mean(rng_t *r, double sigma2, double n, double ybar, double b0, double inv_B0)
 {
     double B = 1.0 / (inv_B0 + n / sigma2);
     double b = B * (n * ybar / sigma2 + b0 * inv_B0);
     if (!(B > 0.0 && B < INFINITY))
-        return 1;
-    *out = b + sqrt(B) * standard_normal(r);
-    return !isfinite(*out);
+        return NAN;
+    return b + sqrt(B) * standard_normal(r);
 }
 
 /* One chain from xoshiro256++ state `seed`, started at the group means as
@@ -131,14 +118,14 @@ int run_chain(const uint64_t seed[4], const double stats[6], const double prior[
 
     for (int64_t i = -burn_in; i < kept; i++) {
         r = ybar1 - mu1;
-        if (inverse_gamma(&rng, c1, C0 + 0.5 * n1 * (s2y1 + r * r), &s2_1))
-            return 1;
+        s2_1 = inverse_gamma(&rng, c1, C0 + 0.5 * n1 * (s2y1 + r * r));
         r = ybar2 - mu2;
-        if (inverse_gamma(&rng, c2, C0 + 0.5 * n2 * (s2y2 + r * r), &s2_2))
+        s2_2 = inverse_gamma(&rng, c2, C0 + 0.5 * n2 * (s2y2 + r * r));
+        if (!(s2_1 > 0.0 && s2_1 < INFINITY && s2_2 > 0.0 && s2_2 < INFINITY))
             return 1;
-        if (group_mean(&rng, s2_1, n1, ybar1, b0, inv_B0, &mu1))
-            return 1;
-        if (group_mean(&rng, s2_2, n2, ybar2, b0, inv_B0, &mu2))
+        mu1 = group_mean(&rng, s2_1, n1, ybar1, b0, inv_B0);
+        mu2 = group_mean(&rng, s2_2, n2, ybar2, b0, inv_B0);
+        if (!(isfinite(mu1) && isfinite(mu2)))
             return 1;
         if (i >= 0) {
             mu1_out[i] = mu1;

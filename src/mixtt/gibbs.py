@@ -18,8 +18,9 @@ runs the whole chain in C with the same float expressions in the same
 order and so gives bit-identical draws. It is compiled with ``cc`` on the
 first chain or dataset of a process and cached in the package's
 ``__pycache__`` under a hash of its source and flags. Where no compiler or
-cache works, and wherever the kernel gives up (on any input where the
-Python sweep would raise or carry a non-finite value), the chain runs in
+cache works, and wherever the kernel gives up (on the first sweep that
+draws a variance that is not finite and > 0 or a mean that is not finite,
+as every sweep on which the Python code raises does), the chain runs in
 Python through :func:`gibbs_sweep`, which stays the reference definition.
 
 The C twins of the generator and of both variates in

@@ -151,20 +151,24 @@ def test_sufficient_statistics_residual_matches_the_sum(scenario, n):
             assert C == pytest.approx(C_ref, rel=1e-12, abs=0.0)
 
 
+SHAPE_ERROR = "shape and scale must be finite and > 0"
+
+
 @pytest.mark.parametrize(
-    "prior, rc",
+    "prior, rc, message",
     [
-        (("1e308", "1", "1", "1"), 2),
-        (("-1e308", "1", "1", "1"), 2),
-        (("1e200", "1e-200", "1", "1"), 2),
-        (("0", "1", "1", "1e-320"), 0),
-        (("0", "1", "1e-320", "1e-320"), 0),
-        (("0", "1e308", "1e-300", "1"), 0),
+        (("1e308", "1", "1", "1"), 2, SHAPE_ERROR),
+        (("-1e308", "1", "1", "1"), 2, SHAPE_ERROR),
+        (("1e200", "1e-200", "1", "1"), 2, SHAPE_ERROR),
+        (("0", "1e-320", "1", "1"), 2, "variance must be > 0, got 0.0"),
+        (("0", "1", "1", "1e-320"), 0, None),
+        (("0", "1", "1e-320", "1e-320"), 0, None),
+        (("0", "1e308", "1e-300", "1"), 0, None),
     ],
-    ids=["b0-1e308", "b0-minus-1e308", "b0-1e200-B0-1e-200", "C0-subnormal", "c0-C0-subnormal",
-         "B0-1e308-c0-1e-300"],
+    ids=["b0-1e308", "b0-minus-1e308", "b0-1e200-B0-1e-200", "B0-subnormal", "C0-subnormal",
+         "c0-C0-subnormal", "B0-1e308-c0-1e-300"],
 )
-def test_extreme_custom_priors_behave_alike_on_both_paths(tmp_path, monkeypatch, capsys, prior, rc):
+def test_extreme_custom_priors_behave_alike_on_both_paths(tmp_path, monkeypatch, capsys, prior, rc, message):
     # the kernel gives up where the Python sweep raises, so the errors are the Python ones
     data = tmp_path / "data.csv"
     data.write_text("value,group\n0.1,a\n0.7,a\n1.2,a\n2.0,b\n2.9,b\n")
@@ -181,7 +185,37 @@ def test_extreme_custom_priors_behave_alike_on_both_paths(tmp_path, monkeypatch,
     assert analyze("python.json") == kernel
     assert kernel[0] == rc
     if rc == 2:
-        assert kernel[1].startswith("mixtt: error: shape and scale must be finite and > 0")
+        assert kernel[1].startswith(f"mixtt: error: {message}")
+
+
+@needs_cc
+@pytest.mark.parametrize("seed", [2, 5, 23, 27])
+def test_kernel_hands_back_a_chain_python_carries_through_an_infinite_variance(monkeypatch, seed):
+    # C0 = 1e308 puts both variances' scales near the largest double, so a draw can
+    # overflow to inf: the Python sweep carries it on, and the kernel gives up on it
+    sample = GroupedSample([1.0] * 3, [2.0] * 2)
+    config = ChainConfig(1, 0, seed, IndependencePrior(0.0, 1.0, 1.0, 1e308))
+    sweeps = []
+    sweep = gibbs.gibbs_sweep
+    monkeypatch.setattr(gibbs, "gibbs_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    kernel = run_chain(sample, config)
+    assert len(sweeps) == 1  # the kernel handed the chain back
+    python = _python_chain(monkeypatch, sample, config)
+    assert python.sigma2_2[0] == math.inf
+    _assert_same_draws(kernel, python)
+
+
+@needs_cc
+@pytest.mark.parametrize("seed", [7, 27, 29])
+def test_kernel_hands_back_a_chain_whose_group_mean_variance_underflows(monkeypatch, seed):
+    # a constant zero group and C0 = 5e-308 draw sigma2_1 so small that n1 / sigma2_1
+    # overflows: B_1 is 0 while b_1 stays finite, and sample_normal rejects that variance
+    sample = GroupedSample([0.0] * 3, [1.0, 2.0, 4.0])
+    config = ChainConfig(1, 0, seed, IndependencePrior(0.0, 1.0, 1.0, 5e-308))
+    with pytest.raises(ValueError, match="variance must be > 0, got 0.0"):
+        run_chain(sample, config)
+    with pytest.raises(ValueError, match="variance must be > 0, got 0.0"):
+        _python_chain(monkeypatch, sample, config)
 
 
 @pytest.mark.parametrize(
