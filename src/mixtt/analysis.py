@@ -1,10 +1,10 @@
 """Effect-size posterior summaries: HPD intervals, ROPE masses, decisions.
 
-Everything here operates on the effect-size draws that
-:func:`effect_size_series` forms from a :mod:`mixtt.gibbs` chain: a
-one-dimensional float array. The functions are pure. :func:`summarize`
-computes the summaries every command reports, and :func:`hpd_decision`
-turns its HPD interval into a decision status string.
+:func:`summarize` reads a :mod:`mixtt.gibbs` chain and computes the
+summaries every command reports. The other functions take the effect-size
+draws that :func:`effect_size_series` forms from a chain: a one-dimensional
+float array. The functions are pure, and :func:`hpd_decision` turns a
+summary's HPD interval into a decision status string.
 """
 
 from __future__ import annotations
@@ -200,8 +200,9 @@ class PosteriorSummary:
     pmp_value: float
 
 
-def summarize(draws: np.ndarray, alpha: float) -> PosteriorSummary:
-    """Posterior mean, alpha-level HPD and Cohen-partition PMP of the draws."""
+def summarize(chain: PosteriorChain, direction: str, alpha: float) -> PosteriorSummary:
+    """Posterior mean, alpha-level HPD and Cohen-partition PMP of the chain's effect size."""
+    draws = effect_size_series(chain, direction)
     label, mass = pmp(draws, cohen_partition())
     return PosteriorSummary(delta_mpe(draws), hpd_interval(draws, alpha), label, mass)
 

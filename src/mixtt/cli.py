@@ -36,7 +36,7 @@ from .harness import (
 )
 from .model import PRESET_KINDS, GroupedSample, IndependencePrior, PriorPreset, realize_preset
 from .reports import (
-    _write_plot_rows, analysis_dict, read_sample_csv, sensitivity_dict, study_result_dict, write_json,
+    analysis_dict, read_sample_csv, sensitivity_dict, study_result_dict, write_json, write_plot_rows,
 )
 from .welch import welch_t_test
 
@@ -161,16 +161,16 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     welch = welch_t_test(sample)  # fails on a one-row group before any chain runs
     config = ChainConfig(args.iters, args.burnin, args.seed, prior)
     chain = run_chain(sample, config)
-    deltas = effect_size_series(chain, direction=args.direction)
-    summary = summarize(deltas, args.alpha)
-    grid, dens = density_grid(deltas)  # one evaluation gives the mode and the plot rows
+    summary = summarize(chain, args.direction, args.alpha)
+    # one evaluation gives the mode and the plot rows
+    grid, dens = density_grid(effect_size_series(chain, args.direction))
     report = analysis_dict(
         config, chain, summary, float(grid[dens.argmax()]), welch,
         preset_kind, args.direction, args.rope, args.strict_decision,
     )
     write_json(report, args.output)
     if args.plot_data is not None:
-        _write_plot_rows(grid, dens, summary.hpd, args.plot_data)
+        write_plot_rows(grid, dens, summary.hpd, args.plot_data)
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:

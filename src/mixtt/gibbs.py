@@ -154,7 +154,7 @@ def gibbs_sweep(
 
     ``sample`` is unused: the sweep needs only ``stats``. The argument stays
     because the benchmark's layer ladder binds this call form; ROADMAP.md
-    items 1 and 9 drop it.
+    items 1 and 7 drop it.
     """
     c1, C1 = sigma2_params_from_stats(current[0], stats.n1, stats.ybar1, stats.s2y1, prior)
     s2_1 = sample_inverse_gamma(rng, c1, C1)

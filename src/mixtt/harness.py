@@ -24,12 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import (
-    PosteriorSummary,
-    effect_size_series,
-    normalize_rope,
-    summarize,
-)
+from .analysis import PosteriorSummary, normalize_rope, summarize
 from .distributions import RngState, derive_seed
 from .gibbs import ChainConfig, _normals, run_chain
 from .model import PRESET_KINDS, GroupedSample, PriorPreset, pooled_sd, realize_preset
@@ -141,7 +136,7 @@ def run_study(config: StudyConfig) -> tuple[DatasetRecord, ...]:
         prior = realize_preset(config.preset, sample)
         seed = derive_seed(dataset_seed, 1)
         chain = run_chain(sample, ChainConfig(config.iterations, config.burn_in, seed, prior))
-        summary = summarize(effect_size_series(chain, direction=DIRECTION), config.alpha)
+        summary = summarize(chain, DIRECTION, config.alpha)
         records.append(DatasetRecord(i, dataset_seed, summary, welch_t_test(sample).p_value))
     return tuple(records)
 
@@ -185,6 +180,6 @@ def prior_sensitivity(
     for preset in presets:
         seed = derive_seed(base_seed, PRESET_KINDS.index(preset.kind))
         config = ChainConfig(iterations, burn_in, seed, realize_preset(preset, sample))
-        summary = summarize(effect_size_series(run_chain(sample, config), direction=DIRECTION), alpha)
+        summary = summarize(run_chain(sample, config), DIRECTION, alpha)
         records.append(PresetSummary(preset.kind, config, summary))
     return tuple(records)

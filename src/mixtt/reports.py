@@ -59,7 +59,7 @@ variance). A *rope* is a list of ``[lo, hi]`` pairs.
   holding ``first`` (the earlier on the command line), ``second`` and
   ``delta_mpe_difference`` (first minus second).
 
-``mixtt analyze --plot-data`` (:func:`write_plot_data`) writes a ``kind,x,y``
+``mixtt analyze --plot-data`` (:func:`write_plot_rows`) writes a ``kind,x,y``
 CSV: 512 ``density`` rows with the grid point and its kernel density, then
 ``hpd_lower`` and ``hpd_upper`` rows and one ``rope_boundary`` row per
 finite category bound (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8), each with ``y``
@@ -302,17 +302,18 @@ def write_plot_data(deltas: np.ndarray, hpd: HpdInterval, path: str | Path) -> N
     Density rows hold the :func:`~mixtt.analysis.density_grid` points and
     densities; annotation rows (HPD bounds and the conventional category
     boundaries) leave ``y`` empty. ``mixtt analyze`` writes the grid it took its
-    mode from (:func:`_write_plot_rows`); this form stays for the benchmark's layer ladder.
+    mode from (:func:`write_plot_rows`); this form stays for the benchmark's layer ladder.
 
     Raises
     ------
     ValueError
         If all draws are identical (no density estimate exists).
     """
-    _write_plot_rows(*density_grid(deltas), hpd, path)
+    write_plot_rows(*density_grid(deltas), hpd, path)
 
 
-def _write_plot_rows(grid: np.ndarray, dens: np.ndarray, hpd: HpdInterval, path: str | Path) -> None:
+def write_plot_rows(grid: np.ndarray, dens: np.ndarray, hpd: HpdInterval, path: str | Path) -> None:
+    """Write density rows for ``grid`` and ``dens``, then the annotation rows, as ``kind,x,y`` CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "x", "y"])

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from mixtt import gibbs
-from mixtt.analysis import HpdInterval, density_grid
+from mixtt import cli, gibbs, harness
+from mixtt.analysis import HpdInterval, cohen_partition, density_grid, summarize
 from mixtt.cli import main
 from mixtt.distributions import RngState, sample_normal
+from mixtt.gibbs import PosteriorChain
 from mixtt.model import GroupedSample, compute_sufficient_stats
 from mixtt.reports import read_sample_csv, write_json, write_plot_data
 
@@ -139,6 +140,50 @@ def test_analyze_direction_and_custom_prior(data_csv, tmp_path):
     assert report["analysis"]["delta_mpe"] < 0.0
     assert report["chain"]["preset"] == "custom"
     assert report["chain"]["prior"] == {"b0": 0.0, "B0": 10.0, "c0": 0.5, "C0": 0.5}
+
+
+def test_analyze_direction_mirrors_every_summary(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("value,group\n" + "".join(
+        f"{i % 5}.{i % 3},a\n{i % 4 + 1}.{i % 7},b\n" for i in range(1, 13)))
+    reports = {}
+    for direction in ("g2-g1", "g1-g2"):
+        out = tmp_path / f"{direction}.json"
+        rc = run_cli("analyze", "--input", data, "--output", out, "--direction", direction,
+                     "--seed", 5, "--iters", 2000, "--burnin", 500)
+        assert rc == 0
+        reports[direction] = json.loads(out.read_text())["analysis"]
+    default, flipped = reports["g2-g1"], reports["g1-g2"]
+    assert flipped["delta_mpe"] == -default["delta_mpe"]
+    f, d = flipped["hpd"], default["hpd"]
+    assert (f["lower"], f["upper"]) == (-d["upper"], -d["lower"])
+    assert flipped["pmp"]["value"] == default["pmp"]["value"]
+    cells = [label for label, _, _ in cohen_partition()]  # symmetric about 0: cell i mirrors cell -1 - i
+    assert cells.index(flipped["pmp"]["cell"]) == len(cells) - 1 - cells.index(default["pmp"]["cell"])
+    # the density grid runs min to max, and its points round differently when mirrored
+    assert flipped["delta_mode"] == pytest.approx(-default["delta_mode"], rel=1e-12)
+    assert flipped["decision"] == default["decision"]  # the default rope is symmetric
+
+
+def test_each_command_summarizes_each_chain_once(data_csv, tmp_path, monkeypatch):
+    calls = []
+
+    def spy(chain, *rest):
+        calls.append(chain)
+        return summarize(chain, *rest)
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "summarize", spy)
+    chain_flags = ("--seed", 6, "--iters", 1000, "--burnin", 200)
+    for args, expected in [
+        (("analyze", "--input", data_csv, "--output", tmp_path / "a.json"), 1),
+        (("simulate", "--scenario", "small", "--n", 10, "--datasets", 3, "--output", tmp_path / "s.json"), 3),
+        (("sensitivity", "--input", data_csv, "--output", tmp_path / "p.json"), 3),
+    ]:
+        calls.clear()
+        assert run_cli(*args, *chain_flags) == 0
+        assert len(calls) == expected, args[0]
+        assert all(isinstance(chain, PosteriorChain) for chain in calls), args[0]
 
 
 def test_analyze_partial_custom_prior_fails(data_csv, tmp_path, capsys):
