@@ -3,11 +3,13 @@
  *
  * run_chain() repeats, operation for operation, the Python sweep in
  * gibbs.py and the variates in distributions.py: xoshiro256++ words,
- * Box-Muller normals, and Marsaglia-Tsang gammas with the shape < 1 boost,
- * with every float expression written in the same order. normals() repeats
- * distributions.sample_normal the same way. Built without FMA contraction
- * (-ffp-contract=off) and calling the same libm as the interpreter, both
- * therefore yield bit-identical draws.
+ * 128-layer ziggurat normals, and Marsaglia-Tsang gammas with the shape < 1
+ * boost, with every float expression written in the same order. normals()
+ * repeats distributions.sample_normal the same way. The ziggurat tables are
+ * not computed here: set_ziggurat() copies distributions.ZIGGURAT_X and
+ * ZIGGURAT_F in once, when gibbs loads the library. Built without FMA
+ * contraction (-ffp-contract=off) and calling the same libm as the
+ * interpreter, both therefore yield bit-identical draws.
  *
  * Each variate returns its draw as its Python twin does, or NAN where the
  * twin would raise. run_chain() alone decides when to give up: it returns 1
@@ -19,8 +21,12 @@
 #include <math.h>
 #include <stdint.h>
 
-#define TWO_PI 6.283185307179586 /* 2.0 * math.pi */
 #define U53 0x1p-53
+#define ZIGGURAT_LAYERS 128
+
+/* layer edges x[0..128] and heights f[k] = exp(-x[k]^2 / 2), from set_ziggurat();
+ * the tail starts at x[1] */
+static double zig_x[ZIGGURAT_LAYERS + 1], zig_f[ZIGGURAT_LAYERS + 1];
 
 typedef struct {
     uint64_t s[4];
@@ -46,11 +52,43 @@ static double random_unit(rng_t *r)
     return ((double)(next_u64(r) >> 11) + 0.5) * U53;
 }
 
+void set_ziggurat(const double x[ZIGGURAT_LAYERS + 1], const double f[ZIGGURAT_LAYERS + 1])
+{
+    for (int k = 0; k <= ZIGGURAT_LAYERS; k++) {
+        zig_x[k] = x[k];
+        zig_f[k] = f[k];
+    }
+}
+
+static double normal_tail(rng_t *r)
+{
+    for (;;) {
+        double x = -log(random_unit(r)) / zig_x[1];
+        double y = -log(random_unit(r));
+        if (y + y >= x * x)
+            return zig_x[1] + x;
+    }
+}
+
+/* Layer from bits 0-6, sign from bit 7, magnitude from bits 11-63. */
 static double standard_normal(rng_t *r)
 {
-    double u1 = random_unit(r);
-    double u2 = random_unit(r);
-    return sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2);
+    uint64_t w;
+    double x;
+    for (;;) {
+        w = next_u64(r);
+        int k = (int)(w & 127);
+        x = (double)(w >> 11) * U53 * zig_x[k];
+        if (x < zig_x[k + 1])
+            break;
+        if (k == 0) {
+            x = normal_tail(r);
+            break;
+        }
+        if (zig_f[k + 1] + (zig_f[k] - zig_f[k + 1]) * random_unit(r) < exp(-0.5 * x * x))
+            break;
+    }
+    return (w & 128) ? -x : x;
 }
 
 /* Gamma(shape, 1) for shape >= 1; NAN where log(v) would raise. */

@@ -3,16 +3,18 @@
 The generator is a self-contained xoshiro256++ (seeded through splitmix64),
 so identical seeds give bit-identical 64-bit word sequences on every
 platform and Python/numpy version. Platform-default generators make no such
-promise. The float variates are built from those words with ``math.log``,
-``math.cos`` and ``math.sqrt``, so they are bit-identical across runs on one
-platform (which byte-stable output files rely on) but may differ in the
-last ulp where another platform's libm rounds differently.
+promise. The float variates are built from those words through libm
+(``exp``, ``log``, ``sqrt`` and ``pow``), so they are bit-identical across
+runs on one platform (which byte-stable output files rely on) but may
+differ in the last ulp where another platform's libm rounds differently.
 
-Variate algorithms: normal draws use the Box-Muller transform (one value
-per call, nothing cached), gamma draws use the Marsaglia-Tsang squeeze
-method with the shape<1 boost, and the regularized incomplete beta function
-behind Welch p-values is a continued fraction evaluated with Lentz's
-algorithm.
+Variate algorithms: normal draws use a 128-layer ziggurat (Marsaglia and
+Tsang 2000, J. Stat. Softw. 5(8)) that takes the layer, the sign and the
+magnitude from disjoint bits of one word, so that the layer and the value
+are independent (Doornik 2005); gamma draws use the Marsaglia-Tsang
+squeeze method with the shape<1 boost, and the regularized incomplete beta
+function behind Welch p-values is a continued fraction evaluated with
+Lentz's algorithm.
 
 The generator, :func:`standard_normal`, :func:`sample_normal` and
 :func:`sample_inverse_gamma` have bit-identical C twins in ``_kernel.c``:
@@ -20,6 +22,8 @@ The generator, :func:`standard_normal`, :func:`sample_normal` and
 :func:`mixtt.harness.generate_dataset` draws a group's normals there, each
 continuing the stream from :meth:`RngState.state_words`. The functions here
 stay the reference definitions and the fallback where no kernel is built.
+The ziggurat tables ``ZIGGURAT_X`` and ``ZIGGURAT_F`` are computed here
+alone, and the kernel is handed them when it is loaded.
 """
 
 from __future__ import annotations
@@ -30,7 +34,25 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 # 2^-53, so ((u64 >> 11) + 0.5) * _U53 is uniform on the open interval (0, 1)
 _U53 = 1.0 / (1 << 53)
-_TWO_PI = 2.0 * math.pi
+
+
+def _ziggurat_tables(layers: int, r: float, v: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Edges x[0..layers] and heights f[k] = exp(-x[k]^2 / 2) of the normal ziggurat.
+
+    Layer k covers [0, x[k]) by [f[k], f[k+1]), and every layer has area
+    ``v``. Layer 0 is the base strip of width v / f(r), which also holds the
+    tail beyond x[1] = r. The edges fall to x[layers] = 0, where f is 1.
+    """
+    x = [v / math.exp(-0.5 * r * r), r]
+    for _ in range(layers - 2):
+        x.append(math.sqrt(-2.0 * math.log(v / x[-1] + math.exp(-0.5 * x[-1] * x[-1]))))
+    x.append(0.0)
+    return tuple(x), tuple(math.exp(-0.5 * xk * xk) for xk in x)
+
+
+# Marsaglia and Tsang's tail start and layer area for 128 layers
+ZIGGURAT_R = 3.442619855899
+ZIGGURAT_X, ZIGGURAT_F = _ziggurat_tables(128, ZIGGURAT_R, 9.91256303526217e-3)
 
 
 def _splitmix64_at(seed: int, index: int) -> int:
@@ -100,11 +122,36 @@ class RngState:
         return ((self.next_u64() >> 11) + 0.5) * _U53
 
 
+def _normal_tail(rng: RngState) -> float:
+    """Marsaglia's draw of N(0, 1) beyond ``ZIGGURAT_R``; two uniforms a try."""
+    while True:
+        x = -math.log(rng.random_unit()) / ZIGGURAT_R
+        y = -math.log(rng.random_unit())
+        if y + y >= x * x:
+            return ZIGGURAT_R + x
+
+
 def standard_normal(rng: RngState) -> float:
-    """One N(0, 1) variate via Box-Muller; consumes exactly two uniforms."""
-    u1 = ((rng.next_u64() >> 11) + 0.5) * _U53
-    u2 = ((rng.next_u64() >> 11) + 0.5) * _U53
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+    """One N(0, 1) variate from the ziggurat; one word a try, plus uniforms off the fast path.
+
+    A word's bits 0-6 pick the layer, bit 7 the sign and bits 11-63 the
+    magnitude. About 97 % of draws use that one word alone. A wedge test
+    draws one more uniform and may reject the try; layer 0 past its
+    rectangle draws the tail, two uniforms a try.
+    """
+    x_edge, f_edge = ZIGGURAT_X, ZIGGURAT_F
+    while True:
+        w = rng.next_u64()
+        k = w & 127
+        x = (w >> 11) * _U53 * x_edge[k]
+        if x < x_edge[k + 1]:
+            break
+        if k == 0:
+            x = _normal_tail(rng)
+            break
+        if f_edge[k + 1] + (f_edge[k] - f_edge[k + 1]) * rng.random_unit() < math.exp(-0.5 * x * x):
+            break
+    return -x if w & 128 else x
 
 
 def sample_normal(rng: RngState, mean: float, variance: float) -> float:

@@ -3,8 +3,9 @@
 Each sweep draws, in this fixed order, sigma2_1, sigma2_2 (inverse gamma,
 conditioned on the current means) and then mu_1, mu_2 (normal, conditioned
 on the variances just drawn). Exactly four variates are consumed per sweep,
-always in that order, so a seed fixes the chain; the number of underlying
-uniforms per variate varies because the gamma sampler is rejection-based.
+always in that order, so a seed fixes the chain; the number of 64-bit
+words per variate varies, because the gamma sampler and the ziggurat behind
+every normal are rejection-based (about six words a sweep).
 The integer stream behind a seed is the same everywhere, but the variates
 go through libm and may differ in the last ulp across platforms (see
 :mod:`mixtt.distributions`).
@@ -24,7 +25,9 @@ as every sweep on which the Python code raises does), the chain runs in
 Python through :func:`gibbs_sweep`, which stays the reference definition.
 
 The C twins of the generator and of both variates in
-:mod:`mixtt.distributions` serve the chain. The same library also holds a
+:mod:`mixtt.distributions` serve the chain; loading the library hands it
+the ziggurat tables of :mod:`mixtt.distributions`, which it does not
+compute itself. The same library also holds a
 twin of :func:`~mixtt.distributions.sample_normal` alone, through which
 :func:`_normals` draws each group of :func:`mixtt.harness.generate_dataset`.
 This module alone binds and calls the library; its one ``_kernel`` handle
@@ -55,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import RngState, sample_inverse_gamma, sample_normal
+from .distributions import ZIGGURAT_F, ZIGGURAT_X, RngState, sample_inverse_gamma, sample_normal
 from .model import GroupedSample, IndependencePrior, SufficientStats, compute_sufficient_stats
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
@@ -195,6 +198,8 @@ def _bind_kernel(path: Path):
     lib.run_chain.restype = ctypes.c_int
     lib.normals.argtypes = [u64_p, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
     lib.normals.restype = None
+    table = ctypes.c_double * len(ZIGGURAT_X)
+    lib.set_ziggurat(table(*ZIGGURAT_X), table(*ZIGGURAT_F))
     return lib
 
 

@@ -18,8 +18,8 @@ measured per dataset for an estimate from as many draws as the chain keeps.
 The 95% HPD must also cover the true effect in at least 90 of 100 datasets.
 Fixed containment counts (>= 90/100 HPDs in [0.8, inf) at n=200, >= 95/100
 in [0.2, 0.5) and PMP >= 0.95 at n=700) are reported but not asserted: on
-these seeds the exact posterior itself reaches only 53, 58 and 74 (the
-sampler: 55, 57 and 74). By the normal approximation, those targets
+these seeds the exact posterior itself reaches only 61, 59 and 75 (the
+sampler: 60, 60 and 76). By the normal approximation, those targets
 need about 450 and 1,400 observations per group.
 """
 

@@ -7,7 +7,10 @@ import scipy.stats
 from _oracles import ks_distance
 
 from mixtt.distributions import (
+    ZIGGURAT_R,
+    ZIGGURAT_X,
     RngState,
+    _normal_tail,
     derive_seed,
     regularized_incomplete_beta,
     sample_inverse_gamma,
@@ -74,6 +77,41 @@ def test_normal_ks_against_analytic_cdf():
     rng = RngState(23)
     xs = [sample_normal(rng, 0.0, 1.0) for _ in range(100_000)]
     assert ks_distance(xs, scipy.stats.norm.cdf) <= 0.01
+
+
+@pytest.fixture(scope="module")
+def many_normals():
+    # Off the one-word fast path, a ziggurat draw goes through a layer's wedge or
+    # layer 0's tail beyond ZIGGURAT_R (about 1 draw in 1,700), where the
+    # whole-distribution tests above have little power
+    rng = RngState(29)
+    return np.array([standard_normal(rng) for _ in range(1_500_000)])
+
+
+def _tail_cdf(t):
+    """CDF of |Z| given |Z| > ZIGGURAT_R, for Z ~ N(0, 1)."""
+    return 1.0 - scipy.stats.norm.sf(t) / scipy.stats.norm.sf(ZIGGURAT_R)
+
+
+def test_normal_tail_beyond_the_ziggurat_base_layer(many_normals):
+    tail = np.abs(many_normals[np.abs(many_normals) > ZIGGURAT_R])
+    expected = many_normals.size * 2.0 * scipy.stats.norm.sf(ZIGGURAT_R)
+    assert abs(tail.size - expected) <= 4.0 * math.sqrt(expected)
+    positive = np.sum(many_normals > ZIGGURAT_R)
+    assert abs(2 * positive - tail.size) <= 4.0 * math.sqrt(tail.size)
+    assert scipy.stats.kstest(tail, _tail_cdf).pvalue >= 1e-3
+    # the tail sampler alone, with the power to see a missing rejection step
+    rng = RngState(31)
+    assert scipy.stats.kstest([_normal_tail(rng) for _ in range(50_000)], _tail_cdf).pvalue >= 1e-3
+
+
+def test_normal_mass_in_each_ziggurat_strip(many_normals):
+    # strip k holds |x| in [x[k+1], x[k]), where layer k's wedge lies; a wedge
+    # test that accepts too much or too little moves mass between strips
+    edges = np.array([*ZIGGURAT_X[:0:-1], math.inf])
+    observed = np.histogram(np.abs(many_normals), edges)[0]
+    expected = many_normals.size * np.diff(2.0 * scipy.stats.norm.cdf(edges) - 1.0)
+    assert scipy.stats.chisquare(observed, expected).pvalue >= 1e-3
 
 
 def test_stream_splitting_marginals():

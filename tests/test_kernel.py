@@ -6,6 +6,7 @@
 data call :func:`sample_normal`, both in Python.
 """
 
+import collections
 import math
 import shutil
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 from mixtt import gibbs
 from mixtt.cli import main as cli_main
-from mixtt.distributions import RngState, derive_seed
+from mixtt.distributions import ZIGGURAT_R, RngState, derive_seed, sample_normal
 from mixtt.gibbs import ChainConfig, run_chain, sigma2_conditional_params, sigma2_params_from_stats
 from mixtt.harness import Scenario, generate_dataset
 from mixtt.model import (
@@ -34,6 +35,18 @@ SEED = 20260810
 FIELDS = ("mu1", "mu2", "sigma2_1", "sigma2_2")
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on this host")
+
+
+class _CountingRng(RngState):
+    """An RngState that counts the 64-bit words it hands out."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.words = 0
+
+    def next_u64(self):
+        self.words += 1
+        return super().next_u64()
 
 
 def _python_chain(monkeypatch, sample, config):
@@ -83,6 +96,44 @@ def test_generate_dataset_uses_the_kernel_when_a_compiler_exists(monkeypatch):
     monkeypatch.setattr(gibbs, "sample_normal", fallback)
     sample = generate_dataset(Scenario.named("small"), 50, RngState(1))
     assert sample.group1.size == sample.group2.size == 50
+
+
+@needs_cc
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_kernel_normals_equal_python_on_every_ziggurat_branch(seed):
+    n = 50_000
+    kernel_rng = RngState(seed)
+    kernel = gibbs._normals(kernel_rng, 0.0, 1.0, n)
+    python_rng = _CountingRng(seed)
+    python, words = [], []
+    for _ in range(n):
+        before = python_rng.words
+        python.append(sample_normal(python_rng, 0.0, 1.0))
+        words.append(python_rng.words - before)
+    assert np.array_equal(kernel, python)
+    assert kernel_rng.state_words() == python_rng.state_words()
+    per_draw = collections.Counter(words)
+    assert per_draw[1] > 0.96 * n  # the rectangle of a layer, on one word
+    assert per_draw[2] > 0  # an accepted wedge test
+    size, spent = np.abs(kernel), np.array(words)
+    assert np.any(size > ZIGGURAT_R)  # the tail of layer 0
+    assert np.any((spent >= 3) & (size <= ZIGGURAT_R))  # a rejected wedge test, then another try
+
+
+@pytest.mark.parametrize("scenario, n", ACCEPTANCE_PAIRS)
+def test_a_sweep_spends_at_most_six_and_a_half_words(monkeypatch, scenario, n):
+    # four normals of about one word each, and one uniform in each of the two gamma draws
+    sample, chain_seed = _acceptance_dataset(scenario, n)
+    config = ChainConfig(2_000, 500, chain_seed, realize_preset(PriorPreset("wide"), sample))
+    rngs = []
+
+    def counting_rng(seed):
+        rngs.append(_CountingRng(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr(gibbs, "RngState", counting_rng)
+    _python_chain(monkeypatch, sample, config)
+    assert rngs[0].words / config.iterations <= 6.5
 
 
 class _VarianceSpy:
@@ -189,7 +240,7 @@ def test_extreme_custom_priors_behave_alike_on_both_paths(tmp_path, monkeypatch,
 
 
 @needs_cc
-@pytest.mark.parametrize("seed", [2, 5, 23, 27])
+@pytest.mark.parametrize("seed", [3, 12, 18, 23])
 def test_kernel_hands_back_a_chain_python_carries_through_an_infinite_variance(monkeypatch, seed):
     # C0 = 1e308 puts both variances' scales near the largest double, so a draw can
     # overflow to inf: the Python sweep carries it on, and the kernel gives up on it
@@ -206,7 +257,7 @@ def test_kernel_hands_back_a_chain_python_carries_through_an_infinite_variance(m
 
 
 @needs_cc
-@pytest.mark.parametrize("seed", [7, 27, 29])
+@pytest.mark.parametrize("seed", [2, 4, 29])
 def test_kernel_hands_back_a_chain_whose_group_mean_variance_underflows(monkeypatch, seed):
     # a constant zero group and C0 = 5e-308 draw sigma2_1 so small that n1 / sigma2_1
     # overflows: B_1 is 0 while b_1 stays finite, and sample_normal rejects that variance
