@@ -41,7 +41,7 @@ from .reports import (
 from .welch import welch_t_test
 
 
-def _parse_rope(text: str) -> tuple[tuple[float, float], ...]:
+def _parse_rope(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected LO,HI, got {text!r}")
@@ -53,7 +53,7 @@ def _parse_rope(text: str) -> tuple[tuple[float, float], ...]:
         raise argparse.ArgumentTypeError(f"rope bounds must be finite, got {text!r}")
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"rope needs LO < HI, got {text!r}")
-    return ((lo, hi),)
+    return lo, hi
 
 
 def _parse_alpha(text: str) -> float:
@@ -160,6 +160,9 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     prior, preset_kind = _prior_from_args(args, sample)
     welch = welch_t_test(sample)  # fails on a one-row group before any chain runs
     config = ChainConfig(args.iters, args.burnin, args.seed, prior)
+    if config.iterations - config.burn_in < 2:
+        raise ValueError(f"the density estimate needs at least 2 kept sweeps; --iters {args.iters} "
+                         f"with --burnin {args.burnin} keeps 1")
     chain = run_chain(sample, config)
     summary = summarize(chain, args.direction, args.alpha)
     # one evaluation gives the mode and the plot rows

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import PosteriorSummary, normalize_rope, summarize
+from .analysis import PosteriorSummary, summarize
 from .distributions import RngState, derive_seed
 from .gibbs import ChainConfig, _normals, run_chain
 from .model import PRESET_KINDS, GroupedSample, PriorPreset, pooled_sd, realize_preset
@@ -44,7 +44,7 @@ SCENARIO_KINDS = tuple(_SCENARIOS)
 DEFAULT_ITERATIONS = 10_000
 DEFAULT_BURN_IN = 5_000
 DEFAULT_ALPHA = 0.95
-DEFAULT_ROPE = ((-0.2, 0.2),)
+DEFAULT_ROPE = (-0.2, 0.2)
 # sign convention of every study and sensitivity effect size, and analyze's default
 DIRECTION = "g2-g1"
 
@@ -100,14 +100,19 @@ class StudyConfig:
     burn_in: int = DEFAULT_BURN_IN
     preset: PriorPreset = PriorPreset("wide")
     alpha: float = DEFAULT_ALPHA
-    rope: tuple[tuple[float, float], ...] = DEFAULT_ROPE
+    rope: tuple[float, float] = DEFAULT_ROPE
 
     def __post_init__(self):
         if self.n_datasets < 1:
             raise ValueError(f"n_datasets must be >= 1, got {self.n_datasets}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        object.__setattr__(self, "rope", normalize_rope(self.rope))
+        finite = all(isinstance(b, (int, float)) and math.isfinite(b) for b in self.rope)
+        if len(self.rope) != 2 or not finite:
+            raise ValueError(f"rope needs two finite bounds (lo, hi), got {self.rope!r}")
+        lo, hi = self.rope
+        if not lo < hi:
+            raise ValueError(f"rope interval needs lower < upper, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ interval holding ``level`` of the draws) and ``pmp`` (``cell``: the
 conventional category holding ``delta_mpe``, ``value``: the share of draws
 in that cell). A *prior* is ``b0``, ``B0`` (normal mean and variance of each
 group mean) and ``c0``, ``C0`` (inverse-gamma shape and scale of each group
-variance). A *rope* is a list of ``[lo, hi]`` pairs.
+variance). A *rope* is a list holding one ``[lo, hi]`` pair.
 
 ``mixtt analyze`` (:func:`analysis_dict`) writes
 
@@ -150,7 +150,7 @@ def analysis_dict(
     welch: WelchResult,
     preset_kind: str,
     direction: str,
-    rope: tuple[tuple[float, float], ...],
+    rope: tuple[float, float],
     strict: bool,
 ) -> dict:
     """JSON-ready report of one analysis: summaries, the chain that ran, and its input sizes."""
@@ -184,7 +184,7 @@ def analysis_dict(
                 )
             },
         },
-        "rope": [list(pair) for pair in rope],
+        "rope": [list(rope)],
         "input": {"n1": chain.stats.n1, "n2": chain.stats.n2},
     }
 
@@ -240,7 +240,7 @@ def study_result_dict(config: StudyConfig, records: tuple[DatasetRecord, ...]) -
             "burn_in": config.burn_in,
             "preset": config.preset.kind,
             "alpha": config.alpha,
-            "rope": [list(pair) for pair in config.rope],
+            "rope": [list(config.rope)],
             "master_seed": config.master_seed,
             "direction": DIRECTION,
         },

@@ -11,6 +11,7 @@ from mixtt.analysis import (
     ERROR_NONE,
     ERROR_TYPE_I,
     ERROR_TYPE_II,
+    HpdInterval,
     alpha_decision,
     classify_error,
     cohen_partition,
@@ -185,14 +186,46 @@ def test_alpha_decision_containment_cases():
     assert alpha_decision(np.linspace(0.0, 0.1, 50), rope, 1.0) == DECISION_ACCEPTED
     assert alpha_decision(np.linspace(0.3, 0.5, 50), rope, 1.0) == DECISION_REJECTED
     assert alpha_decision(np.linspace(0.1, 0.3, 50), rope, 1.0) == DECISION_INDETERMINATE
-    assert hpd_decision(hpd_interval(np.linspace(0.1, 0.3, 50), 1.0), rope, strict=True) == DECISION_REJECTED
+    hpd = hpd_interval(np.linspace(0.1, 0.3, 50), 1.0)
+    assert hpd_decision(hpd, (-0.2, 0.2), strict=True) == DECISION_REJECTED
 
 
-def test_alpha_decision_union_rope():
-    rope = ((-0.5, -0.2), (0.2, 0.5))
-    assert alpha_decision(np.linspace(0.25, 0.45, 40), rope, 1.0) == DECISION_ACCEPTED
-    assert alpha_decision(np.linspace(-0.1, 0.1, 40), rope, 1.0) == DECISION_REJECTED
-    assert alpha_decision(np.linspace(-0.3, 0.3, 40), rope, 1.0) == DECISION_INDETERMINATE
+def test_alpha_decision_takes_exactly_one_pair():
+    draws = np.linspace(0.25, 0.45, 40)
+    with pytest.raises(ValueError):
+        alpha_decision(draws, ((-0.5, -0.2), (0.2, 0.5)), 1.0)
+
+
+_LO, _HI = -0.2, 0.2
+_BELOW_LO, _ABOVE_HI = math.nextafter(_LO, -math.inf), math.nextafter(_HI, math.inf)
+
+
+@pytest.mark.parametrize(
+    "lower, upper, status, strict_status",
+    [
+        (_LO, _HI, DECISION_ACCEPTED, DECISION_ACCEPTED),
+        (_LO - 1.0, _LO, DECISION_INDETERMINATE, DECISION_REJECTED),
+        (_HI, _HI + 1.0, DECISION_INDETERMINATE, DECISION_REJECTED),
+        (_LO - 1.0, _BELOW_LO, DECISION_REJECTED, DECISION_REJECTED),
+        (_LO, _LO, DECISION_ACCEPTED, DECISION_ACCEPTED),
+        (_HI, _HI, DECISION_ACCEPTED, DECISION_ACCEPTED),
+        (_BELOW_LO, _BELOW_LO, DECISION_REJECTED, DECISION_REJECTED),
+        (_ABOVE_HI, _ABOVE_HI, DECISION_REJECTED, DECISION_REJECTED),
+    ],
+    ids=[
+        "hpd-equals-rope", "upper-on-lo", "lower-on-hi", "just-below-lo",
+        "point-on-lo", "point-on-hi", "point-just-below-lo", "point-just-above-hi",
+    ],
+)
+def test_rope_endpoints_belong_to_the_rope(lower, upper, status, strict_status):
+    rope = (_LO, _HI)
+    hpd = HpdInterval(0.95, lower, upper)
+    assert hpd_decision(hpd, rope) == status
+    assert hpd_decision(hpd, rope, strict=True) == strict_status
+    if lower == upper:  # a true effect size there is in the rope by the same closed rule
+        in_rope = status == DECISION_ACCEPTED
+        assert classify_error(lower, rope, DECISION_REJECTED) == (ERROR_TYPE_I if in_rope else ERROR_NONE)
+        assert classify_error(lower, rope, DECISION_ACCEPTED) == (ERROR_NONE if in_rope else ERROR_TYPE_II)
 
 
 def test_alpha_decision_invalid_level():
@@ -201,7 +234,7 @@ def test_alpha_decision_invalid_level():
 
 
 def test_classify_error_definitions():
-    rope = ((-0.2, 0.2),)
+    rope = (-0.2, 0.2)
     assert classify_error(0.0, rope, DECISION_REJECTED) == ERROR_TYPE_I
     assert classify_error(1.03, rope, DECISION_ACCEPTED) == ERROR_TYPE_II
     assert classify_error(0.0, rope, DECISION_ACCEPTED) == ERROR_NONE

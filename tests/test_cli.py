@@ -448,13 +448,14 @@ def test_sensitivity_unknown_preset_is_named(data_csv, tmp_path, capsys):
         ("analyze", ["--b0", "0", "--B0", "inf", "--c0", "1", "--C0", "1"], None),
         ("analyze", ["--b0", "0", "--B0", "1", "--c0", "inf", "--C0", "1"], None),
         ("analyze", ["--b0", "0", "--B0", "1", "--c0", "1", "--C0", "inf"], None),
+        ("analyze", ["--iters", "1", "--burnin", "0"], None),
     ],
     ids=[
         "analyze-alpha-above-one", "analyze-alpha-nan", "sensitivity-alpha-zero", "one-row-group",
         "analyze-rope-inf", "analyze-rope-minus-inf", "sensitivity-repeated-preset",
         "sensitivity-one-plus-one-rows", "prior-b0-nan", "prior-B0-nan", "prior-c0-nan",
         "prior-C0-nan", "prior-b0-inf", "prior-B0-inf", "prior-c0-inf",
-        "prior-C0-inf",
+        "prior-C0-inf", "analyze-one-kept-sweep",
     ],
 )
 def test_bad_arguments_fail_before_any_chain(data_csv, tmp_path, monkeypatch, command, extra, rows):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,26 @@ def test_study_config_validation():
         StudyConfig(scenario=sc, n_per_group=10, n_datasets=0, master_seed=1)
     with pytest.raises(ValueError, match="alpha"):
         StudyConfig(scenario=sc, n_per_group=10, n_datasets=5, master_seed=1, alpha=1.5)
+
+
+@pytest.mark.parametrize(
+    "rope, message",
+    [
+        ((-math.inf, 0.2), "finite"),
+        ((0.0, math.inf), "finite"),
+        ((math.nan, 0.2), "finite"),
+        ((0.5, -0.5), "lower < upper"),
+        ((0.2, 0.2), "lower < upper"),
+        (((-0.2, 0.2),), "two finite bounds"),
+        (((-0.5, -0.2), (0.2, 0.5)), "two finite bounds"),
+        ((-0.2, 0.0, 0.2), "two finite bounds"),
+    ],
+    ids=["minus-inf", "plus-inf", "nan", "reversed", "equal-bounds", "nested-pair", "union", "three-bounds"],
+)
+def test_study_config_rejects_a_bad_rope_before_any_chain(rope, message):
+    # the bounds --rope rejects, so a library study fails before its first chain
+    with pytest.raises(ValueError, match=message):
+        StudyConfig(scenario=Scenario.named("null"), n_per_group=10, n_datasets=3, master_seed=1, rope=rope)
 
 
 def test_single_dataset_study_aggregates_equal_record():
