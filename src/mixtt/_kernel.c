@@ -91,7 +91,8 @@ static double standard_normal(rng_t *r)
     return (w & 128) ? -x : x;
 }
 
-/* Gamma(shape, 1) for shape >= 1; NAN where log(v) would raise. */
+/* Gamma(shape, 1) for shape >= 1. Past the t <= 0 test, t >= 2^-53 (for c*x in
+ * (-1, -0.5] the sum is exact), so v = t^3 >= 2^-159 and log(v) is finite. */
 static double standard_gamma(rng_t *r, double shape)
 {
     double d = shape - 1.0 / 3.0;
@@ -106,8 +107,6 @@ static double standard_gamma(rng_t *r, double shape)
         double x2 = x * x;
         if (u < 1.0 - 0.0331 * x2 * x2)
             return d * v;
-        if (!(v > 0.0))
-            return NAN;
         if (log(u) < 0.5 * x2 + d * (1.0 - v + log(v)))
             return d * v;
     }

@@ -66,10 +66,20 @@ def _parse_alpha(text: str) -> float:
     return alpha
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {text!r}")
+    return seed
+
+
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS, help="total sweeps per chain")
     p.add_argument("--burnin", type=int, default=DEFAULT_BURN_IN, help="sweeps discarded up front")
-    p.add_argument("--seed", type=int, required=True, help="master seed; required, no wall-clock fallback")
+    p.add_argument("--seed", type=_parse_seed, required=True, help="master seed; required, no wall-clock fallback")
     p.add_argument("--alpha", type=_parse_alpha, default=DEFAULT_ALPHA,
                    help="credible level for HPD and decisions")
 

@@ -87,12 +87,11 @@ class RngState:
 
     def __init__(self, seed: int):
         seed = int(seed) & _MASK64
+        # never all-zero: odd gamma, so four distinct inputs; bijective finalizer, so at most one 0 word
         self._s0 = _splitmix64_at(seed, 1)
         self._s1 = _splitmix64_at(seed, 2)
         self._s2 = _splitmix64_at(seed, 3)
         self._s3 = _splitmix64_at(seed, 4)
-        if self._s0 == self._s1 == self._s2 == self._s3 == 0:
-            self._s0 = _SPLITMIX_GAMMA  # xoshiro must never start all-zero
 
     def state_words(self) -> tuple[int, int, int, int]:
         """The four 64-bit state words, from which the compiled kernel continues the stream."""

@@ -2,8 +2,9 @@
 
 The observational model is a two-component Gaussian mixture in which every
 observation's group membership is known, so the likelihood factorizes by
-group and inference reduces to the per-group means and variances. All types
-here are immutable after construction and all operations are pure.
+group and inference reads only each group's size, mean and sum of squared
+deviations, which a :class:`GroupedSample` computes once, when it is built.
+All types here are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ _PRESET_TABLE = {
 PRESET_KINDS = tuple(_PRESET_TABLE)
 
 
+def _moments(a: np.ndarray) -> tuple[float, float]:
+    """(mean, sum of squared deviations); the sum / (n - 1) is ``a.var(ddof=1)`` bit for bit."""
+    mean = a.mean()
+    dev = a - mean
+    return float(mean), float((dev * dev).sum())
+
+
 class GroupedSample:
     """The observations of the two groups being compared.
 
@@ -33,15 +41,15 @@ class GroupedSample:
     group1, group2 : array-like of float
         Each group's observations, in measurement units.
 
-    Both groups must be one-dimensional and non-empty, every value must be
-    finite, and the square of the sum of squared deviations about the pooled
-    mean must not overflow. ``values`` holds group 1's observations followed
-    by group 2's, so everything derived from a sample depends only on each
-    group's values in order, never on how the two groups were interleaved.
-    Instances are immutable by convention; do not mutate the arrays.
+    Both groups must be one-dimensional and non-empty, every value finite,
+    and the squared pooled sum of squared deviations finite. ``moments1``,
+    ``moments2`` and ``pooled_moments`` are the (mean, sum of squared
+    deviations) of each group and of ``values``: group 1's observations then
+    group 2's, so everything derived from a sample depends only on each
+    group's values in order. Instances are immutable by convention.
     """
 
-    __slots__ = ("values", "group1", "group2")
+    __slots__ = ("values", "group1", "group2", "moments1", "moments2", "pooled_moments")
 
     def __init__(self, group1, group2):
         g1 = np.asarray(group1, dtype=float)
@@ -56,13 +64,11 @@ class GroupedSample:
         self.values = v
         self.group1 = g1
         self.group2 = g2
-        with np.errstate(over="ignore"):  # an overflow is reported just below
-            dev = v - v.mean()
-            ssd = dev @ dev
-            # a finite square keeps what is derived from ssd finite: the
-            # squared standard error of Welch's test and the presets' B0
-            ssd_squared = ssd * ssd
-        if not np.isfinite(ssd_squared):
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow or inf - inf, rejected below
+            self.moments1, self.moments2, self.pooled_moments = _moments(g1), _moments(g2), _moments(v)
+        _, ssd = self.pooled_moments
+        # a finite square keeps Welch's squared standard error and the presets' B0 finite
+        if not math.isfinite(ssd * ssd):
             raise ValueError("values too large: their sum of squared deviations overflows when squared")
 
     @classmethod
@@ -147,37 +153,31 @@ class PriorPreset:
 def compute_sufficient_stats(sample: GroupedSample) -> SufficientStats:
     """Group sizes, means, and within-group variances of a sample.
 
-    The within-group variance divides by the group size N_k, not N_k - 1;
-    the conditional updates in :mod:`mixtt.gibbs` are stated in terms of
-    this convention.
+    Both come from the sample's ``moments1`` and ``moments2``; the variance
+    divides by the group size N_k, not N_k - 1, the convention in which the
+    conditional updates in :mod:`mixtt.gibbs` are stated.
     """
-    g1, g2 = sample.group1, sample.group2
-    ybar1 = float(g1.mean())
-    ybar2 = float(g2.mean())
-    return SufficientStats(
-        n1=g1.size,
-        n2=g2.size,
-        ybar1=ybar1,
-        ybar2=ybar2,
-        s2y1=float(np.mean((g1 - ybar1) ** 2)),
-        s2y2=float(np.mean((g2 - ybar2) ** 2)),
-    )
+    n1, n2 = sample.n1, sample.n2
+    ybar1, ssd1 = sample.moments1
+    ybar2, ssd2 = sample.moments2
+    return SufficientStats(n1=n1, n2=n2, ybar1=ybar1, ybar2=ybar2, s2y1=ssd1 / n1, s2y2=ssd2 / n2)
 
 
 def realize_preset(preset: PriorPreset, sample: GroupedSample) -> IndependencePrior:
     """Turn a preset into concrete hyperparameters for the given data.
 
     Named presets center b0 at the pooled sample mean and scale B0 with
-    the pooled sample variance (divisor N - 1), so they are only weakly
-    informative at the scale of the data.
+    the pooled sample variance (divisor N - 1), both from the sample's
+    ``pooled_moments``, so they are only weakly informative at the scale of
+    the data.
 
     Raises
     ------
     ValueError
         If the pooled sample variance is zero.
     """
-    xbar = float(sample.values.mean())
-    s2 = float(sample.values.var(ddof=1))
+    xbar, ssd = sample.pooled_moments
+    s2 = ssd / (sample.values.size - 1)
     if s2 <= 0.0:
         raise ValueError("pooled sample variance is zero; a data-scaled prior is undefined")
     mult, c0, C0 = _PRESET_TABLE[preset.kind]

@@ -19,9 +19,9 @@ class WelchResult:
 def welch_t_test(sample: GroupedSample) -> WelchResult:
     """Welch's unequal-variance t-test with Welch-Satterthwaite degrees of freedom.
 
-    Uses unbiased (divisor n-1) group variances, as the test is standardly
-    defined. The two-sided p-value is I_x(df/2, 1/2) with x = df/(df + t^2),
-    computed directly so that it keeps its relative precision in the tail.
+    Group means and unbiased (divisor n-1) variances come from the sample's
+    ``moments1`` and ``moments2``. The two-sided p-value is I_x(df/2, 1/2),
+    x = df/(df + t^2), computed directly to keep its relative tail precision.
 
     Raises
     ------
@@ -29,18 +29,18 @@ def welch_t_test(sample: GroupedSample) -> WelchResult:
         If either group has fewer than two observations or both group
         variances are zero.
     """
-    g1, g2 = sample.group1, sample.group2
-    n1, n2 = g1.size, g2.size
+    n1, n2 = sample.n1, sample.n2
     if n1 < 2 or n2 < 2:
         raise ValueError(f"each group needs >= 2 observations, got {n1} and {n2}")
-    v1 = float(g1.var(ddof=1))
-    v2 = float(g2.var(ddof=1))
+    ybar1, ssd1 = sample.moments1
+    ybar2, ssd2 = sample.moments2
+    v1, v2 = ssd1 / (n1 - 1), ssd2 / (n2 - 1)
     if v1 == 0.0 and v2 == 0.0:
         raise ValueError("both group variances are zero; the t statistic is undefined")
     q1 = v1 / n1
     q2 = v2 / n2
     se2 = q1 + q2
-    t = (float(g1.mean()) - float(g2.mean())) / se2**0.5
+    t = (ybar1 - ybar2) / se2**0.5
     # df is scale-free; a power-of-two rescale keeps the squares from underflowing
     k = math.frexp(se2)[1]
     q1, q2 = math.ldexp(q1, -k), math.ldexp(q2, -k)

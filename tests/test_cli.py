@@ -301,6 +301,11 @@ def _assert_overflow_rejected(tmp_path, capsys, command, rows):
 @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
 def test_overflowing_values_rejected(tmp_path, capsys, command):
     _assert_overflow_rejected(tmp_path, capsys, command, "1e200,a\n2e200,a\n1.0,b\n3.0,b\n")
+    # huge values of both signs: the pairwise sum meets inf + -inf, which must not warn
+    rows = ["0,a"] * 16
+    rows[0] = rows[8] = "1e308,a"
+    rows[1] = rows[9] = "-1e308,a"
+    _assert_overflow_rejected(tmp_path, capsys, command, "\n".join(rows + ["1.0,b", "3.0,b", ""]))
 
 
 @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
@@ -449,13 +454,15 @@ def test_sensitivity_unknown_preset_is_named(data_csv, tmp_path, capsys):
         ("analyze", ["--b0", "0", "--B0", "1", "--c0", "inf", "--C0", "1"], None),
         ("analyze", ["--b0", "0", "--B0", "1", "--c0", "1", "--C0", "inf"], None),
         ("analyze", ["--iters", "1", "--burnin", "0"], None),
+        ("analyze", ["--seed", "-1"], None),
+        ("sensitivity", ["--seed", "18446744073709551616"], None),
     ],
     ids=[
         "analyze-alpha-above-one", "analyze-alpha-nan", "sensitivity-alpha-zero", "one-row-group",
         "analyze-rope-inf", "analyze-rope-minus-inf", "sensitivity-repeated-preset",
         "sensitivity-one-plus-one-rows", "prior-b0-nan", "prior-B0-nan", "prior-c0-nan",
         "prior-C0-nan", "prior-b0-inf", "prior-B0-inf", "prior-c0-inf",
-        "prior-C0-inf", "analyze-one-kept-sweep",
+        "prior-C0-inf", "analyze-one-kept-sweep", "analyze-seed-negative", "sensitivity-seed-2-to-64",
     ],
 )
 def test_bad_arguments_fail_before_any_chain(data_csv, tmp_path, monkeypatch, command, extra, rows):

@@ -13,6 +13,7 @@ from mixtt.model import (
     pooled_sd,
     realize_preset,
 )
+from mixtt.welch import welch_t_test
 
 
 def test_sample_validation():
@@ -37,6 +38,11 @@ def test_sample_rejects_overflowing_squared_deviations():
     # every value is finite, but their squared deviations overflow to inf
     with pytest.raises(ValueError, match="overflows"):
         GroupedSample([1e200, 2e200], [1.0, 3.0])
+    # numpy's pairwise sum adds rows 0 + 8 and 1 + 9 first, then inf + -inf: NaN, not a warning
+    huge = np.zeros(16)
+    huge[[0, 8]], huge[[1, 9]] = 1e308, -1e308
+    with pytest.raises(ValueError, match="overflows"):
+        GroupedSample(huge, [1.0, 3.0])
 
 
 def test_from_labels_first_seen_is_group_one():
@@ -161,6 +167,47 @@ def test_realize_preset_table():
 
     # wide and medium may differ only in B0, c0, C0
     assert wide.b0 == medium.b0
+
+
+# (n1, n2, location, scale): unbalanced sizes from 2 to a few thousand, scales
+# from 1e-6 to 1e6, and the medium scenario's offset of ~255 with sd 2-3
+@pytest.mark.parametrize(
+    "n1, n2, loc, scale",
+    [
+        (2, 3, 0.0, 1.0),
+        (7, 2, 0.5, 1e-6),
+        (40, 900, -3.0, 1e6),
+        (3000, 17, 1e3, 1e-3),
+        (1234, 2345, 0.0, 1e6),
+        (100, 100, 255.0, 2.0),
+        (230, 470, 255.0, 3.0),
+        (2500, 2, 254.08, 2.36),
+    ],
+)
+def test_moments_match_numpy_bit_for_bit(n1, n2, loc, scale):
+    rng = np.random.default_rng(n1 * 10_007 + n2)
+    g1 = rng.normal(loc, scale, n1)
+    g2 = rng.normal(loc + scale, 1.3 * scale, n2)
+    sample = GroupedSample(g1, g2)
+
+    stats = compute_sufficient_stats(sample)
+    assert (stats.ybar1, stats.ybar2) == (g1.mean(), g2.mean())
+    assert stats.s2y1 == np.mean((g1 - g1.mean()) ** 2)
+    assert stats.s2y2 == np.mean((g2 - g2.mean()) ** 2)
+
+    values = np.concatenate((g1, g2))
+    for kind, mult in {"wide": 10.0, "medium": 5.0, "narrow": 1.0}.items():
+        prior = realize_preset(PriorPreset(kind), sample)
+        assert (prior.b0, prior.B0) == (values.mean(), mult * values.var(ddof=1))
+
+    q1, q2 = float(g1.var(ddof=1)) / n1, float(g2.var(ddof=1)) / n2
+    se2 = q1 + q2
+    k = math.frexp(se2)[1]
+    r1, r2 = math.ldexp(q1, -k), math.ldexp(q2, -k)
+    df = (r1 + r2) ** 2 / (r1**2 / (n1 - 1) + r2**2 / (n2 - 1))
+    welch = welch_t_test(sample)
+    assert welch.t_statistic == (float(g1.mean()) - float(g2.mean())) / se2**0.5
+    assert welch.df == df
 
 
 def test_realize_preset_degenerate_data():
