@@ -16,7 +16,7 @@
  * as soon as a sweep draws a variance that is not finite and > 0 or a mean
  * that is not finite, and the caller then reruns the chain in Python, which
  * reports the error or returns its own draws. It returns 0 once every kept
- * draw is written.
+ * draw is written to the caller's one (4, kept) block.
  */
 #include <math.h>
 #include <stdint.h>
@@ -137,11 +137,10 @@ static double group_mean(rng_t *r, double sigma2, double n, double ybar, double 
 
 /* One chain from xoshiro256++ state `seed`, started at the group means as
  * gibbs.initial_draw does: `burn_in` sweeps dropped, then `kept` sweeps
- * written to the four arrays. stats = (n1, n2, ybar1, ybar2, s2y1, s2y2)
- * and prior = (b0, B0, c0, C0). */
+ * written to the rows mu1, mu2, sigma2_1, sigma2_2 of the row-major (4, kept)
+ * block `out`. stats = (n1, n2, ybar1, ybar2, s2y1, s2y2), prior = (b0, B0, c0, C0). */
 int run_chain(const uint64_t seed[4], const double stats[6], const double prior[4],
-              int64_t burn_in, int64_t kept,
-              double *mu1_out, double *mu2_out, double *s2_1_out, double *s2_2_out)
+              int64_t burn_in, int64_t kept, double *out)
 {
     rng_t rng = {{seed[0], seed[1], seed[2], seed[3]}};
     double n1 = stats[0], n2 = stats[1];
@@ -165,10 +164,10 @@ int run_chain(const uint64_t seed[4], const double stats[6], const double prior[
         if (!(isfinite(mu1) && isfinite(mu2)))
             return 1;
         if (i >= 0) {
-            mu1_out[i] = mu1;
-            mu2_out[i] = mu2;
-            s2_1_out[i] = s2_1;
-            s2_2_out[i] = s2_2;
+            out[i] = mu1;
+            out[kept + i] = mu2;
+            out[2 * kept + i] = s2_1;
+            out[3 * kept + i] = s2_2;
         }
     }
     return 0;

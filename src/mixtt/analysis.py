@@ -43,18 +43,16 @@ class HpdInterval:
 def effect_size_series(chain: PosteriorChain, direction: str) -> np.ndarray:
     """Per-draw standardized mean difference.
 
-    Each draw i yields (mu1 - mu2) / s with s the pooled standard deviation
-    of that draw's sampled variances. ``direction="g2-g1"`` flips the sign
-    globally, which only changes reporting; symmetric regions are unaffected.
+    Each draw i yields (mu1 - mu2) / s for ``direction="g1-g2"`` and
+    (mu2 - mu1) / s for ``"g2-g1"``, with s the pooled standard deviation
+    of that draw's sampled variances.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    n1, n2 = chain.stats.n1, chain.stats.n2
-    s = pooled_sd(chain.sigma2_1, chain.sigma2_2, n1, n2)
-    deltas = (chain.mu1 - chain.mu2) / s
+    s = pooled_sd(chain.sigma2_1, chain.sigma2_2, chain.stats.n1, chain.stats.n2)
     if direction == "g2-g1":
-        deltas = -deltas
-    return deltas
+        return (chain.mu2 - chain.mu1) / s
+    return (chain.mu1 - chain.mu2) / s
 
 
 def delta_mpe(draws: np.ndarray) -> float:

@@ -6,11 +6,11 @@ Three subcommands: ``analyze`` fits one dataset and writes a report,
 requires ``--seed``; there is no wall-clock seeding, so rerunning a command
 with identical flags produces byte-identical output files.
 
-Exit status is 0 on success. Any rejected input, unreadable file, or run
-too large for memory (``--iters`` or ``--n`` whose arrays cannot be
-allocated) exits 2 with ``mixtt: error: <message>`` on stderr; an argparse
-usage error also exits 2, with argparse's usage and error lines. A
-traceback means a defect.
+Exit status is 0 on success. Any rejected input, unreadable file, output
+that is a directory or in a missing directory (rejected before any chain
+runs), or run too large for memory (``--iters`` or ``--n`` whose arrays
+cannot be allocated) exits 2 with ``mixtt: error: <message>`` on stderr;
+argparse usage errors also exit 2. A traceback means a defect.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_distinct_paths(*flags: tuple[str, str | None]) -> None:
-    """Reject two (flag, path) pairs that resolve to the same file; run before any read."""
+    """Reject two flags naming one file, or an output that is a directory or in a missing one; run first."""
     seen: dict[Path, str] = {}
     for flag, value in flags:
         if value is None:
@@ -160,6 +160,8 @@ def _check_distinct_paths(*flags: tuple[str, str | None]) -> None:
         path = Path(value).resolve()
         if path in seen:
             raise ValueError(f"{seen[path]} and {flag} name the same file: {value}")
+        if flag != "--input" and (path.is_dir() or not path.parent.is_dir()):
+            raise ValueError(f"{flag} must name a file in an existing directory: {value}")
         seen[path] = flag
 
 
@@ -187,6 +189,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:
+    _check_distinct_paths(("--output", args.output))
     config = StudyConfig(
         scenario=Scenario.named(args.scenario),
         n_per_group=args.n,

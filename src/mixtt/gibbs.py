@@ -35,9 +35,9 @@ chooses the path for both, and tests select the Python path for chains and
 data alike by setting it to None.
 
 The chain state is a plain ``(mu1, mu2, sigma2_1, sigma2_2)`` tuple of
-floats; :func:`run_chain` writes the kept sweeps straight into
-preallocated arrays. Variance positivity is checked where it is used, by
-:func:`mu_conditional_params`.
+floats; :func:`run_chain` and :func:`_normals` each allocate one array,
+which the kernel or the Python loop then fills. Variance positivity is
+checked where it is used, by :func:`mu_conditional_params`.
 
 A chain is strictly sequential. Run concurrent chains on independently
 derived seeds (:func:`mixtt.distributions.derive_seed`), never by sharing
@@ -91,7 +91,7 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class PosteriorChain:
-    """Post-burn-in draws of (mu1, mu2, sigma2_1, sigma2_2), stored column-wise."""
+    """Post-burn-in draws of (mu1, mu2, sigma2_1, sigma2_2): the rows of one (4, kept) array."""
 
     mu1: np.ndarray = field(repr=False)
     mu2: np.ndarray = field(repr=False)
@@ -193,8 +193,7 @@ def _bind_kernel(path: Path):
     lib = ctypes.CDLL(str(path))
     u64_p = ctypes.POINTER(ctypes.c_uint64)
     double_p = ctypes.POINTER(ctypes.c_double)
-    lib.run_chain.argtypes = [u64_p, double_p, double_p, ctypes.c_int64, ctypes.c_int64,
-                              *[ctypes.c_void_p] * 4]
+    lib.run_chain.argtypes = [u64_p, double_p, double_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
     lib.run_chain.restype = ctypes.c_int
     lib.normals.argtypes = [u64_p, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
     lib.normals.restype = None
@@ -246,13 +245,15 @@ def _loaded_kernel():
     return _kernel
 
 
-def _normals(rng: RngState, mean: float, variance: float, n: int):
-    """n draws of N(mean, variance), as n calls of sample_normal would make them."""
+def _normals(rng: RngState, mean: float, variance: float, n: int) -> np.ndarray:
+    """An array of n draws of N(mean, variance), as n calls of sample_normal would make them."""
+    out = np.empty(n)
     kernel = _loaded_kernel()
     if kernel is None or variance <= 0.0:  # sample_normal raises on such a variance
-        return [sample_normal(rng, mean, variance) for _ in range(n)]
+        for i in range(n):
+            out[i] = sample_normal(rng, mean, variance)
+        return out
     words = (ctypes.c_uint64 * 4)(*rng.state_words())
-    out = np.empty(n)
     kernel.normals(words, mean, variance, n, out.ctypes.data)
     rng.set_state_words(words)
     return out
@@ -265,21 +266,18 @@ def run_chain(sample: GroupedSample, config: ChainConfig) -> PosteriorChain:
     prior = config.prior
     rng = RngState(config.seed)
     kept = config.iterations - config.burn_in
-    mu1 = np.empty(kept)
-    mu2 = np.empty(kept)
-    s2_1 = np.empty(kept)
-    s2_2 = np.empty(kept)
+    draws = np.empty((4, kept))
     gave_up = kernel is None or kernel.run_chain(
         (ctypes.c_uint64 * 4)(*rng.state_words()),
         (ctypes.c_double * 6)(stats.n1, stats.n2, stats.ybar1, stats.ybar2, stats.s2y1, stats.s2y2),
         (ctypes.c_double * 4)(prior.b0, prior.B0, prior.c0, prior.C0),
-        config.burn_in, kept, mu1.ctypes.data, mu2.ctypes.data, s2_1.ctypes.data, s2_2.ctypes.data,
+        config.burn_in, kept, draws.ctypes.data,
     )
     if gave_up:
+        mu1, mu2, s2_1, s2_2 = draws  # row views: a column store draws[:, i] is markedly slower
         current = initial_draw(stats)
-        for _ in range(config.burn_in):
+        for i in range(-config.burn_in, kept):
             current = gibbs_sweep(current, sample, stats, prior, rng)
-        for j in range(kept):
-            current = gibbs_sweep(current, sample, stats, prior, rng)
-            mu1[j], mu2[j], s2_1[j], s2_2[j] = current
-    return PosteriorChain(mu1, mu2, s2_1, s2_2, stats)
+            if i >= 0:
+                mu1[i], mu2[i], s2_1[i], s2_2[i] = current
+    return PosteriorChain(*draws, stats)

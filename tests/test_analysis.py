@@ -40,8 +40,9 @@ def test_effect_size_unit_pooled_sd():
 
 
 def test_effect_size_equal_means_is_zero():
-    draws = effect_size_series(chain_of([2.5], [2.5], [0.7], [3.1]), direction="g1-g2")
-    assert draws[0] == 0.0
+    for direction in ("g1-g2", "g2-g1"):
+        draws = effect_size_series(chain_of([2.5], [2.5], [0.7], [3.1]), direction=direction)
+        assert draws[0] == 0.0 and math.copysign(1.0, draws[0]) == 1.0, direction  # +0.0 either way
 
 
 def test_effect_size_medium_scenario_value():

@@ -335,13 +335,17 @@ def test_values_at_1e70_scale_run(tmp_path, command):
 
 
 @pytest.mark.parametrize("python_chain", [False, True], ids=["kernel", "python"])
-@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+@pytest.mark.parametrize("command", ["analyze", "sensitivity", "simulate"])
 def test_run_too_large_for_memory_is_an_error(data_csv, tmp_path, monkeypatch, capsys, command, python_chain):
-    # the chain's draw arrays cannot be allocated, so no sweep runs on either path
+    # the chain's draws or a simulated group's normals cannot be allocated, so no
+    # sweep runs and no normal is drawn on either path
     if python_chain:
         monkeypatch.setattr(gibbs, "_kernel", None)
-    rc = run_cli(command, "--input", data_csv, "--output", tmp_path / "r.json", "--seed", 1,
-                 "--iters", 100_000_000_000_000, "--burnin", 0)
+    if command == "simulate":
+        flags = ["--scenario", "small", "--n", 100_000_000_000_000, "--datasets", 1]
+    else:
+        flags = ["--input", data_csv, "--iters", 100_000_000_000_000, "--burnin", 0]
+    rc = run_cli(command, *flags, "--output", tmp_path / "r.json", "--seed", 1)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("mixtt: error: Unable to allocate")
@@ -513,6 +517,31 @@ def test_output_onto_input_rejected_before_any_read(data_csv, tmp_path, monkeypa
     assert rc == 2
     assert f"--input and {target} name the same file" in capsys.readouterr().err
     assert data_csv.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "command, flag, target",
+    [("simulate", "--output", "missing/s.json"), ("analyze", "--plot-data", "missing/p.csv"),
+     ("sensitivity", "--output", ".")],
+)
+def test_unwritable_output_rejected_before_any_chain(data_csv, tmp_path, monkeypatch, capsys,
+                                                     command, flag, target):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was started")
+
+    monkeypatch.setattr("mixtt.cli.run_chain", no_chain)
+    monkeypatch.setattr("mixtt.harness.run_chain", no_chain)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    paths = {"--output": outdir / "r.json", flag: outdir / target}
+    if command == "simulate":
+        source = ["--scenario", "small", "--n", 30, "--datasets", 3]
+    else:
+        source = ["--input", data_csv]
+    rc = run_cli(command, *source, "--seed", 1, *[a for kv in paths.items() for a in kv])
+    assert rc == 2
+    assert f"{flag} must name a file in an existing directory" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
 
 
 def test_report_does_not_depend_on_row_interleaving(tmp_path):

@@ -276,8 +276,10 @@ def test_kernel_hands_back_a_chain_whose_group_mean_variance_underflows(monkeypa
          "--burnin", "500"],
         ["analyze", "--input", "{data}", "--plot-data", "{out}.csv", "--prior", "medium"],
         ["sensitivity", "--input", "{data}", "--iters", "2000", "--burnin", "500"],
+        # an odd number of kept draws, more than numpy's 8,192-element reduction buffer
+        ["analyze", "--input", "{data}", "--iters", "21000", "--burnin", "3001"],
     ],
-    ids=["simulate", "analyze-plot-data", "sensitivity"],
+    ids=["simulate", "analyze-plot-data", "sensitivity", "analyze-odd-kept"],
 )
 def test_cli_outputs_are_byte_identical_on_both_paths(tmp_path, monkeypatch, command):
     sample, _ = _acceptance_dataset("small", 40)
