@@ -99,6 +99,23 @@ def posterior_mode(draws: np.ndarray) -> float:
     return float(grid[int(np.argmax(dens))])
 
 
+def check_level(level: float) -> float:
+    """Return ``level`` if it is a credible level in (0, 1], else raise ValueError."""
+    if not 0.0 < level <= 1.0:  # also rejects NaN
+        raise ValueError(f"credible level alpha must be in (0, 1], got {level}")
+    return level
+
+
+def check_rope(rope) -> tuple[float, float]:
+    """Return ``rope`` as ``(lo, hi)`` if it is two finite bounds with lo < hi, else raise ValueError."""
+    if len(rope) != 2 or not all(isinstance(b, (int, float)) and math.isfinite(b) for b in rope):
+        raise ValueError(f"rope needs two finite bounds (lo, hi), got {rope!r}")
+    lo, hi = rope
+    if not lo < hi:
+        raise ValueError(f"rope interval needs lower < upper, got ({lo}, {hi})")
+    return lo, hi
+
+
 def hpd_interval(draws: np.ndarray, level: float) -> HpdInterval:
     """Shortest contiguous window of sorted draws holding ceil(level * m) of them.
 
@@ -110,8 +127,7 @@ def hpd_interval(draws: np.ndarray, level: float) -> HpdInterval:
     ValueError
         If ``level`` is outside (0, 1].
     """
-    if not 0.0 < level <= 1.0:
-        raise ValueError(f"credible level must be in (0, 1], got {level}")
+    check_level(level)
     d = np.sort(draws)
     m = d.size
     w = math.ceil(level * m)

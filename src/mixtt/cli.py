@@ -16,11 +16,10 @@ argparse usage errors also exit 2. A traceback means a defect.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from .analysis import DIRECTIONS, density_grid, effect_size_series, summarize
+from .analysis import DIRECTIONS, check_level, check_rope, density_grid, effect_size_series, summarize
 from .gibbs import ChainConfig, run_chain
 from .harness import (
     DEFAULT_ALPHA,
@@ -41,53 +40,35 @@ from .reports import (
 from .welch import welch_t_test
 
 
-def _parse_rope(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO,HI, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers in LO,HI, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise argparse.ArgumentTypeError(f"rope bounds must be finite, got {text!r}")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"rope needs LO < HI, got {text!r}")
-    return lo, hi
+def _flag_type(check, convert=float):
+    """An argparse ``type`` giving ``check(convert(text))``; a ValueError becomes the flag's error."""
+    def parse(text: str):
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _parse_alpha(text: str) -> float:
-    try:
-        alpha = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 < alpha <= 1.0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"credible level must be in (0, 1], got {text!r}")
-    return alpha
-
-
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+def _check_seed(seed: int) -> int:
     if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {text!r}")
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS, help="total sweeps per chain")
     p.add_argument("--burnin", type=int, default=DEFAULT_BURN_IN, help="sweeps discarded up front")
-    p.add_argument("--seed", type=_parse_seed, required=True, help="master seed; required, no wall-clock fallback")
-    p.add_argument("--alpha", type=_parse_alpha, default=DEFAULT_ALPHA,
+    p.add_argument("--seed", type=_flag_type(_check_seed, int), required=True,
+                   help="master seed; required, no wall-clock fallback")
+    p.add_argument("--alpha", type=_flag_type(check_level), default=DEFAULT_ALPHA,
                    help="credible level for HPD and decisions")
 
 
 def _add_rope_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--rope",
-        type=_parse_rope,
+        type=_flag_type(check_rope, lambda text: tuple(map(float, text.split(",")))),
         default=DEFAULT_ROPE,
         metavar="LO,HI",
         help="no-effect region for decisions (use --rope=LO,HI for negative bounds)",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import PosteriorSummary, summarize
+from .analysis import PosteriorSummary, check_level, check_rope, summarize
 from .distributions import RngState, derive_seed
 from .gibbs import ChainConfig, _normals, run_chain
 from .model import PRESET_KINDS, GroupedSample, PriorPreset, pooled_sd, realize_preset
@@ -105,14 +105,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.n_datasets < 1:
             raise ValueError(f"n_datasets must be >= 1, got {self.n_datasets}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        finite = all(isinstance(b, (int, float)) and math.isfinite(b) for b in self.rope)
-        if len(self.rope) != 2 or not finite:
-            raise ValueError(f"rope needs two finite bounds (lo, hi), got {self.rope!r}")
-        lo, hi = self.rope
-        if not lo < hi:
-            raise ValueError(f"rope interval needs lower < upper, got ({lo}, {hi})")
+        check_level(self.alpha)
+        check_rope(self.rope)
 
 
 @dataclass(frozen=True)
@@ -173,9 +167,11 @@ def prior_sensitivity(
     Raises
     ------
     ValueError
-        If fewer than two presets are given, a kind repeats, or the sample
-        is too small for a pooled standard deviation; no chain runs.
+        If fewer than two presets are given, a kind repeats, ``alpha`` is not
+        a credible level, or the sample is too small for a pooled standard
+        deviation; no chain runs.
     """
+    check_level(alpha)
     presets = list(presets)
     kinds = [preset.kind for preset in presets]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):

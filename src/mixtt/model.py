@@ -42,7 +42,7 @@ class GroupedSample:
         Each group's observations, in measurement units.
 
     Both groups must be one-dimensional and non-empty, every value finite,
-    and the squared pooled sum of squared deviations finite. ``moments1``,
+    and each sum of squared deviations finite when squared. ``moments1``,
     ``moments2`` and ``pooled_moments`` are the (mean, sum of squared
     deviations) of each group and of ``values``: group 1's observations then
     group 2's, so everything derived from a sample depends only on each
@@ -65,10 +65,10 @@ class GroupedSample:
         self.group1 = g1
         self.group2 = g2
         with np.errstate(over="ignore", invalid="ignore"):  # overflow or inf - inf, rejected below
-            self.moments1, self.moments2, self.pooled_moments = _moments(g1), _moments(g2), _moments(v)
-        _, ssd = self.pooled_moments
-        # a finite square keeps Welch's squared standard error and the presets' B0 finite
-        if not math.isfinite(ssd * ssd):
+            moments = _moments(g1), _moments(g2), _moments(v)
+        self.moments1, self.moments2, self.pooled_moments = moments
+        # finite squares keep Welch's squared standard errors and the presets' B0 finite
+        if not all(math.isfinite(ssd * ssd) for _, ssd in moments):
             raise ValueError("values too large: their sum of squared deviations overflows when squared")
 
     @classmethod

@@ -306,6 +306,8 @@ def test_overflowing_values_rejected(tmp_path, capsys, command):
     rows[0] = rows[8] = "1e308,a"
     rows[1] = rows[9] = "-1e308,a"
     _assert_overflow_rejected(tmp_path, capsys, command, "\n".join(rows + ["1.0,b", "3.0,b", ""]))
+    # group b's mean rounds off -1e300, so its sum of squared deviations is inf; the pooled one is 0
+    _assert_overflow_rejected(tmp_path, capsys, command, "-1e300,a\n" * 5 + "-1e300,b\n" * 30)
 
 
 @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
@@ -355,10 +357,12 @@ def test_run_too_large_for_memory_is_an_error(data_csv, tmp_path, monkeypatch, c
 
 def test_bad_header_rejected(tmp_path, capsys):
     path = tmp_path / "bad.csv"
-    path.write_text("amount,arm\n1.0,a\n2.0,b\n")
-    rc = run_cli("analyze", "--input", path, "--output", tmp_path / "r.json", "--seed", 1)
-    assert rc != 0
-    assert "header" in capsys.readouterr().err
+    for text, message in [("amount,arm\n1.0,a\n2.0,b\n", "header"), ("", "empty file"),
+                          ("value,group\n", "no data rows")]:
+        path.write_text(text)
+        rc = run_cli("analyze", "--input", path, "--output", tmp_path / "r.json", "--seed", 1)
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_seed_is_required(data_csv, tmp_path):
@@ -460,6 +464,11 @@ def test_sensitivity_unknown_preset_is_named(data_csv, tmp_path, capsys):
         ("analyze", ["--iters", "1", "--burnin", "0"], None),
         ("analyze", ["--seed", "-1"], None),
         ("sensitivity", ["--seed", "18446744073709551616"], None),
+        ("analyze", ["--rope=0.5"], None),
+        ("analyze", ["--rope=a,b"], None),
+        ("analyze", ["--rope=0.5,0.1"], None),
+        ("analyze", ["--alpha", "x"], None),
+        ("analyze", ["--seed", "1.5"], None),
     ],
     ids=[
         "analyze-alpha-above-one", "analyze-alpha-nan", "sensitivity-alpha-zero", "one-row-group",
@@ -467,9 +476,11 @@ def test_sensitivity_unknown_preset_is_named(data_csv, tmp_path, capsys):
         "sensitivity-one-plus-one-rows", "prior-b0-nan", "prior-B0-nan", "prior-c0-nan",
         "prior-C0-nan", "prior-b0-inf", "prior-B0-inf", "prior-c0-inf",
         "prior-C0-inf", "analyze-one-kept-sweep", "analyze-seed-negative", "sensitivity-seed-2-to-64",
+        "analyze-rope-one-bound", "analyze-rope-not-numbers", "analyze-rope-reversed",
+        "analyze-alpha-not-a-number", "analyze-seed-not-an-integer",
     ],
 )
-def test_bad_arguments_fail_before_any_chain(data_csv, tmp_path, monkeypatch, command, extra, rows):
+def test_bad_arguments_fail_before_any_chain(data_csv, tmp_path, monkeypatch, capsys, command, extra, rows):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain was started")
 
@@ -481,8 +492,9 @@ def test_bad_arguments_fail_before_any_chain(data_csv, tmp_path, monkeypatch, co
         data.write_text("value,group\n" + rows)
     try:
         rc = run_cli(command, "--input", data, "--output", tmp_path / "r.json", "--seed", 1, *extra)
-    except SystemExit as exc:  # argparse rejects a bad flag value with status 2
+    except SystemExit as exc:  # argparse rejects a bad flag value with status 2, naming the flag
         rc = exc.code
+        assert f"argument {extra[0].split('=')[0]}:" in capsys.readouterr().err
     assert rc == 2
 
 
@@ -591,6 +603,22 @@ def test_sensitivity_deterministic(data_csv, tmp_path):
                      "--burnin", 400, "--output", out)
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_valid_alpha_reaches_every_report(data_csv, tmp_path):
+    chain = ("--seed", 3, "--iters", 1000, "--burnin", 200, "--alpha", 0.9)
+    out = tmp_path / "a.json"
+    assert run_cli("analyze", "--input", data_csv, "--output", out, *chain) == 0
+    analysis = json.loads(out.read_text())["analysis"]
+    assert analysis["hpd"]["level"] == analysis["decision"]["alpha"] == 0.9
+    out = tmp_path / "s.json"
+    assert run_cli("simulate", "--scenario", "small", "--n", 20, "--datasets", 2, "--output", out, *chain) == 0
+    study = json.loads(out.read_text())
+    assert study["config"]["alpha"] == 0.9
+    assert [r["hpd"]["level"] for r in study["records"]] == [0.9, 0.9]
+    out = tmp_path / "p.json"
+    assert run_cli("sensitivity", "--input", data_csv, "--output", out, *chain) == 0
+    assert json.loads(out.read_text())["config"]["alpha"] == 0.9
 
 
 def test_rope_flag_equals_syntax(data_csv, tmp_path):

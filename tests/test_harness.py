@@ -193,6 +193,15 @@ def test_prior_sensitivity_rejects_repeated_kind(monkeypatch):
         prior_sensitivity(_sensitivity_sample(), presets, base_seed=5)
 
 
+def test_prior_sensitivity_rejects_a_bad_level_before_any_chain(monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was started")
+
+    monkeypatch.setattr("mixtt.harness.run_chain", no_chain)
+    with pytest.raises(ValueError, match="credible level"):
+        prior_sensitivity(_sensitivity_sample(), [PriorPreset("wide"), PriorPreset("narrow")], 5, alpha=1.5)
+
+
 def test_prior_sensitivity_kind_stream_ignores_order():
     # a kind's chain seed comes from its index in PRESET_KINDS, not its position
     sample = _sensitivity_sample()

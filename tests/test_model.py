@@ -43,6 +43,9 @@ def test_sample_rejects_overflowing_squared_deviations():
     huge[[0, 8]], huge[[1, 9]] = 1e308, -1e308
     with pytest.raises(ValueError, match="overflows"):
         GroupedSample(huge, [1.0, 3.0])
+    # one group's sum overflows (its mean rounds off -1e300) while the pooled sum is exactly 0
+    with pytest.raises(ValueError, match="overflows"):
+        GroupedSample(np.full(5, -1e300), np.full(30, -1e300))
 
 
 def test_from_labels_first_seen_is_group_one():
