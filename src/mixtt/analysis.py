@@ -171,13 +171,13 @@ def pmp(draws: np.ndarray, cells) -> tuple[str, float]:
 def hpd_decision(interval: HpdInterval, rope: tuple[float, float], strict: bool = False) -> str:
     """Decide a region hypothesis from an HPD interval; returns the status.
 
-    ``rope`` is one ``(lo, hi)`` interval. ``accepted`` if the HPD interval
-    lies inside it, ``rejected`` if the two do not intersect,
-    ``indeterminate`` otherwise. The rope's endpoints belong to it.
-    ``strict=True`` collapses indeterminate into rejected, giving a
-    two-valued accept/reject rule.
+    ``rope`` is one ``(lo, hi)`` interval; a rope :func:`check_rope` rejects
+    raises ValueError. ``accepted`` if the HPD interval lies inside it,
+    ``rejected`` if the two do not intersect, ``indeterminate`` otherwise.
+    The rope's endpoints belong to it. ``strict=True`` collapses
+    indeterminate into rejected, giving a two-valued accept/reject rule.
     """
-    lo, hi = rope
+    lo, hi = check_rope(rope)
     if lo <= interval.lower and interval.upper <= hi:
         return DECISION_ACCEPTED
     if interval.upper < lo or hi < interval.lower:
@@ -222,9 +222,9 @@ def classify_error(true_delta: float, rope: tuple[float, float], status: str) ->
 
     Rejecting when the ``(lo, hi)`` rope contains the truth, endpoints
     included, is a type-I error; accepting when it does not is a type-II
-    error.
+    error. A rope :func:`check_rope` rejects raises ValueError.
     """
-    lo, hi = rope
+    lo, hi = check_rope(rope)
     in_rope = lo <= true_delta <= hi
     if in_rope and status == DECISION_REJECTED:
         return ERROR_TYPE_I

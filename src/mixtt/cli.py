@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .analysis import DIRECTIONS, check_level, check_rope, density_grid, effect_size_series, summarize
+from .distributions import check_seed
 from .gibbs import ChainConfig, run_chain
 from .harness import (
     DEFAULT_ALPHA,
@@ -50,16 +51,10 @@ def _flag_type(check, convert=float):
     return parse
 
 
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
-
-
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS, help="total sweeps per chain")
     p.add_argument("--burnin", type=int, default=DEFAULT_BURN_IN, help="sweeps discarded up front")
-    p.add_argument("--seed", type=_flag_type(_check_seed, int), required=True,
+    p.add_argument("--seed", type=_flag_type(check_seed, int), required=True,
                    help="master seed; required, no wall-clock fallback")
     p.add_argument("--alpha", type=_flag_type(check_level), default=DEFAULT_ALPHA,
                    help="credible level for HPD and decisions")

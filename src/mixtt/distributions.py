@@ -29,6 +29,7 @@ alone, and the kernel is handed them when it is loaded.
 from __future__ import annotations
 
 import math
+import operator
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -63,8 +64,16 @@ def _splitmix64_at(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if it is an int in [0, 2**64), else ValueError (TypeError for a non-integer)."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def derive_seed(seed: int, index: int) -> int:
-    """Derive the ``index``-th child seed of ``seed``.
+    """Derive the ``index``-th child seed of ``seed``, which must pass :func:`check_seed`.
 
     Child seeds are consecutive outputs of a splitmix64 stream, so streams
     built from them are statistically independent of each other and of the
@@ -73,11 +82,11 @@ def derive_seed(seed: int, index: int) -> int:
     """
     if index < 0:
         raise ValueError("stream index must be non-negative")
-    return _splitmix64_at(int(seed) & _MASK64, index + 1)
+    return _splitmix64_at(check_seed(seed), index + 1)
 
 
 class RngState:
-    """xoshiro256++ generator state.
+    """xoshiro256++ generator state, seeded by an integer that passes :func:`check_seed`.
 
     A state is single-owner and advances sequentially; it must not be
     copied or shared. Independent streams come from :func:`derive_seed`.
@@ -86,7 +95,7 @@ class RngState:
     __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
-        seed = int(seed) & _MASK64
+        seed = check_seed(seed)
         # never all-zero: odd gamma, so four distinct inputs; bijective finalizer, so at most one 0 word
         self._s0 = _splitmix64_at(seed, 1)
         self._s1 = _splitmix64_at(seed, 2)

@@ -58,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import ZIGGURAT_F, ZIGGURAT_X, RngState, sample_inverse_gamma, sample_normal
+from .distributions import ZIGGURAT_F, ZIGGURAT_X, RngState, check_seed, sample_inverse_gamma, sample_normal
 from .model import GroupedSample, IndependencePrior, SufficientStats, compute_sufficient_stats
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
@@ -72,7 +72,7 @@ _kernel = _UNLOADED
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Sweep count, burn-in, seed, and prior for one chain."""
+    """Sweep count, burn-in, seed (one that passes :func:`check_seed`), and prior for one chain."""
 
     iterations: int
     burn_in: int
@@ -87,6 +87,7 @@ class ChainConfig:
                 f"burn-in must satisfy 0 <= burn_in < iterations, got "
                 f"{self.burn_in} vs {self.iterations}"
             )
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,14 @@ def test_simulate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_takes_the_largest_seed(tmp_path):
+    out = tmp_path / "study.json"
+    rc = run_cli("simulate", "--scenario", "small", "--n", 10, "--datasets", 2,
+                 "--seed", 2**64 - 1, "--iters", 600, "--burnin", 100, "--output", out)
+    assert rc == 0
+    assert json.loads(out.read_text())["config"]["master_seed"] == 18446744073709551615
+
+
 def test_simulate_rejects_unknown_scenario(tmp_path):
     with pytest.raises(SystemExit):
         run_cli("simulate", "--scenario", "galactic", "--n", 10, "--datasets", 2,

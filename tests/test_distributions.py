@@ -45,6 +45,27 @@ def test_derive_seed_distinct_and_deterministic():
         derive_seed(42, -1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2-to-64"])
+@pytest.mark.parametrize("make", [RngState, lambda seed: derive_seed(seed, 0)], ids=["RngState", "derive_seed"])
+def test_seed_outside_the_range_is_rejected(make, seed):
+    # each seed names its own stream, so -1 must not alias 2**64 - 1 (nor 2**64 alias 0)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\), got " + str(seed)):
+        make(seed)
+
+
+def test_a_non_integer_seed_is_a_type_error():
+    with pytest.raises(TypeError):
+        RngState(1.5)
+    with pytest.raises(TypeError):
+        derive_seed(1.0, 0)
+
+
+def test_the_largest_seed_is_valid():
+    top = 2**64 - 1
+    assert RngState(top).state_words() != RngState(0).state_words()
+    assert 0 <= derive_seed(top, 0) < 2**64
+
+
 def test_normal_deterministic_sequence():
     a = RngState(11)
     b = RngState(11)

@@ -120,6 +120,10 @@ def test_config_validation():
         ChainConfig(100, 100, 1, PRIOR)
     with pytest.raises(ValueError, match="iterations must be >= 1"):
         ChainConfig(0, 0, 1, PRIOR)
+    with pytest.raises(ValueError, match="seed must be in"):
+        ChainConfig(100, 10, -1, PRIOR)
+    with pytest.raises(TypeError):
+        ChainConfig(100, 10, 1.5, PRIOR)
 
 
 def test_pinned_sigma2_mu_matches_conditional(monkeypatch):

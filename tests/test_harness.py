@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mixtt.analysis import DECISION_REJECTED, HpdInterval, classify_error, hpd_decision
 from mixtt.distributions import RngState, derive_seed
 from mixtt.harness import (
     Scenario,
@@ -64,26 +65,37 @@ def test_study_config_validation():
         StudyConfig(scenario=sc, n_per_group=10, n_datasets=0, master_seed=1)
     with pytest.raises(ValueError, match="alpha"):
         StudyConfig(scenario=sc, n_per_group=10, n_datasets=5, master_seed=1, alpha=1.5)
+    with pytest.raises(ValueError, match="seed must be in"):
+        StudyConfig(scenario=sc, n_per_group=10, n_datasets=5, master_seed=2**64)
 
 
-@pytest.mark.parametrize(
-    "rope, message",
-    [
-        ((-math.inf, 0.2), "finite"),
-        ((0.0, math.inf), "finite"),
-        ((math.nan, 0.2), "finite"),
-        ((0.5, -0.5), "lower < upper"),
-        ((0.2, 0.2), "lower < upper"),
-        (((-0.2, 0.2),), "two finite bounds"),
-        (((-0.5, -0.2), (0.2, 0.5)), "two finite bounds"),
-        ((-0.2, 0.0, 0.2), "two finite bounds"),
-    ],
-    ids=["minus-inf", "plus-inf", "nan", "reversed", "equal-bounds", "nested-pair", "union", "three-bounds"],
-)
+# (rope, message) pairs that analysis.check_rope rejects
+BAD_ROPES = [
+    pytest.param((-math.inf, 0.2), "finite", id="minus-inf"),
+    pytest.param((0.0, math.inf), "finite", id="plus-inf"),
+    pytest.param((math.nan, 0.2), "finite", id="nan"),
+    pytest.param((0.5, -0.5), "lower < upper", id="reversed"),
+    pytest.param((0.2, 0.2), "lower < upper", id="equal-bounds"),
+    pytest.param(((-0.2, 0.2),), "two finite bounds", id="nested-pair"),
+    pytest.param(((-0.5, -0.2), (0.2, 0.5)), "two finite bounds", id="union"),
+    pytest.param((-0.2, 0.0, 0.2), "two finite bounds", id="three-bounds"),
+]
+
+
+@pytest.mark.parametrize("rope, message", BAD_ROPES)
 def test_study_config_rejects_a_bad_rope_before_any_chain(rope, message):
     # the bounds --rope rejects, so a library study fails before its first chain
     with pytest.raises(ValueError, match=message):
         StudyConfig(scenario=Scenario.named("null"), n_per_group=10, n_datasets=3, master_seed=1, rope=rope)
+
+
+@pytest.mark.parametrize("rope, message", BAD_ROPES)
+def test_decision_functions_reject_a_bad_rope(rope, message):
+    # a library caller's bad rope raises rather than giving a silent verdict
+    with pytest.raises(ValueError, match=message):
+        hpd_decision(HpdInterval(0.95, 0.0, 0.1), rope)
+    with pytest.raises(ValueError, match=message):
+        classify_error(0.0, rope, DECISION_REJECTED)
 
 
 def test_single_dataset_study_aggregates_equal_record():
@@ -200,6 +212,15 @@ def test_prior_sensitivity_rejects_a_bad_level_before_any_chain(monkeypatch):
     monkeypatch.setattr("mixtt.harness.run_chain", no_chain)
     with pytest.raises(ValueError, match="credible level"):
         prior_sensitivity(_sensitivity_sample(), [PriorPreset("wide"), PriorPreset("narrow")], 5, alpha=1.5)
+
+
+def test_prior_sensitivity_rejects_a_bad_seed_before_any_chain(monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was started")
+
+    monkeypatch.setattr("mixtt.harness.run_chain", no_chain)
+    with pytest.raises(ValueError, match="seed must be in"):
+        prior_sensitivity(_sensitivity_sample(), [PriorPreset("wide"), PriorPreset("narrow")], base_seed=-1)
 
 
 def test_prior_sensitivity_kind_stream_ignores_order():
