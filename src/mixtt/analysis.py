@@ -100,15 +100,17 @@ def posterior_mode(draws: np.ndarray) -> float:
 
 
 def check_level(level: float) -> float:
-    """Return ``level`` if it is a credible level in (0, 1], else raise ValueError."""
+    """Return ``level`` if it is a credible level in (0, 1], else ValueError (TypeError for a bool)."""
+    if isinstance(level, (bool, np.bool_)):
+        raise TypeError(f"credible level alpha must be a number, not the bool {level}")
     if not 0.0 < level <= 1.0:  # also rejects NaN
         raise ValueError(f"credible level alpha must be in (0, 1], got {level}")
     return level
 
 
 def check_rope(rope) -> tuple[float, float]:
-    """Return ``rope`` as ``(lo, hi)`` if it is two finite bounds with lo < hi, else raise ValueError."""
-    if len(rope) != 2 or not all(isinstance(b, (int, float)) and math.isfinite(b) for b in rope):
+    """Return ``rope`` as ``(lo, hi)`` if it is two finite non-bool bounds with lo < hi, else ValueError."""
+    if len(rope) != 2 or not all((isinstance(b, float) or type(b) is int) and math.isfinite(b) for b in rope):
         raise ValueError(f"rope needs two finite bounds (lo, hi), got {rope!r}")
     lo, hi = rope
     if not lo < hi:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .analysis import DIRECTIONS, check_level, check_rope, density_grid, effect_size_series, summarize
 from .distributions import check_seed
-from .gibbs import ChainConfig, run_chain
+from .gibbs import ChainConfig, check_chain_length, run_chain
 from .harness import (
     DEFAULT_ALPHA,
     DEFAULT_BURN_IN,
@@ -144,13 +144,13 @@ def _check_distinct_paths(*flags: tuple[str, str | None]) -> None:
 def cmd_analyze(args: argparse.Namespace) -> None:
     _check_distinct_paths(
         ("--input", args.input), ("--output", args.output), ("--plot-data", args.plot_data))
+    if check_chain_length(args.iters, args.burnin) < 2:
+        raise ValueError(f"the density estimate needs at least 2 kept sweeps; --iters {args.iters} "
+                         f"with --burnin {args.burnin} keeps 1")
     sample = read_sample_csv(args.input)
     prior, preset_kind = _prior_from_args(args, sample)
     welch = welch_t_test(sample)  # fails on a one-row group before any chain runs
     config = ChainConfig(args.iters, args.burnin, args.seed, prior)
-    if config.iterations - config.burn_in < 2:
-        raise ValueError(f"the density estimate needs at least 2 kept sweeps; --iters {args.iters} "
-                         f"with --burnin {args.burnin} keeps 1")
     chain = run_chain(sample, config)
     summary = summarize(chain, args.direction, args.alpha)
     # one evaluation gives the mode and the plot rows
@@ -182,6 +182,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 def cmd_sensitivity(args: argparse.Namespace) -> None:
     _check_distinct_paths(("--input", args.input), ("--output", args.output))
+    check_chain_length(args.iters, args.burnin)
     sample = read_sample_csv(args.input)
     presets = [PriorPreset(name.strip()) for name in args.presets.split(",") if name.strip()]
     records = prior_sensitivity(sample, presets, args.seed, args.iters, args.burnin, args.alpha)

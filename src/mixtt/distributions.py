@@ -65,7 +65,9 @@ def _splitmix64_at(seed: int, index: int) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """Return ``seed`` if it is an int in [0, 2**64), else ValueError (TypeError for a non-integer)."""
+    """Return ``seed`` if it is an int in [0, 2**64), else ValueError (TypeError for a bool or non-int)."""
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, not the bool {seed}")
     seed = operator.index(seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")

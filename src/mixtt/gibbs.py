@@ -49,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import importlib.util
+import operator
 import os
 import shutil
 import sys
@@ -70,9 +71,21 @@ _UNLOADED = object()
 _kernel = _UNLOADED
 
 
+def check_chain_length(iterations: int, burn_in: int) -> int:
+    """Return ``iterations - burn_in``, the kept sweeps: ints, not bools, with 0 <= burn_in < iterations."""
+    if isinstance(iterations, bool) or isinstance(burn_in, bool):
+        raise TypeError(f"iterations and burn-in must be integers, not bools: {iterations}, {burn_in}")
+    iterations, burn_in = operator.index(iterations), operator.index(burn_in)
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if not 0 <= burn_in < iterations:
+        raise ValueError(f"burn-in must satisfy 0 <= burn_in < iterations, got {burn_in} vs {iterations}")
+    return iterations - burn_in
+
+
 @dataclass(frozen=True)
 class ChainConfig:
-    """Sweep count, burn-in, seed (one that passes :func:`check_seed`), and prior for one chain."""
+    """Sweep count and burn-in (see :func:`check_chain_length`), seed (:func:`check_seed`) and prior."""
 
     iterations: int
     burn_in: int
@@ -80,13 +93,7 @@ class ChainConfig:
     prior: IndependencePrior
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0 <= self.burn_in < self.iterations:
-            raise ValueError(
-                f"burn-in must satisfy 0 <= burn_in < iterations, got "
-                f"{self.burn_in} vs {self.iterations}"
-            )
+        check_chain_length(self.iterations, self.burn_in)
         check_seed(self.seed)
 
 

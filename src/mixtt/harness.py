@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .analysis import PosteriorSummary, check_level, check_rope, summarize
 from .distributions import RngState, check_seed, derive_seed
-from .gibbs import ChainConfig, _normals, run_chain
+from .gibbs import ChainConfig, _normals, check_chain_length, run_chain
 from .model import PRESET_KINDS, GroupedSample, PriorPreset, pooled_sd, realize_preset
 from .welch import welch_t_test
 
@@ -90,7 +90,7 @@ def generate_dataset(scenario: Scenario, n_per_group: int, rng: RngState) -> Gro
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Full specification of a simulation study; ``master_seed`` must pass :func:`check_seed`."""
+    """A simulation study; its seed, chain length, level and rope are checked before any data are drawn."""
 
     scenario: Scenario
     n_per_group: int
@@ -106,6 +106,7 @@ class StudyConfig:
         if self.n_datasets < 1:
             raise ValueError(f"n_datasets must be >= 1, got {self.n_datasets}")
         check_seed(self.master_seed)
+        check_chain_length(self.iterations, self.burn_in)
         check_level(self.alpha)
         check_rope(self.rope)
 
@@ -168,9 +169,9 @@ def prior_sensitivity(
     Raises
     ------
     ValueError
-        If fewer than two presets are given, a kind repeats, ``alpha`` is not a
-        credible level, ``base_seed`` fails :func:`check_seed`, or the sample is
-        too small for a pooled standard deviation; no chain runs.
+        If fewer than two presets are given, a kind repeats, ``alpha`` is not a credible level,
+        ``base_seed`` fails :func:`check_seed`, the chain length fails :func:`check_chain_length`,
+        or the sample is too small for a pooled standard deviation; no chain runs.
     """
     check_level(alpha)
     presets = list(presets)

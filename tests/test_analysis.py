@@ -234,6 +234,12 @@ def test_alpha_decision_invalid_level():
         alpha_decision(np.array([0.0, 1.0]), ((-0.2, 0.2),), 0.0)
 
 
+@pytest.mark.parametrize("level", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_level_is_a_type_error(level):
+    with pytest.raises(TypeError, match="bool"):
+        hpd_interval(np.array([0.0, 1.0]), level)
+
+
 def test_classify_error_definitions():
     rope = (-0.2, 0.2)
     assert classify_error(0.0, rope, DECISION_REJECTED) == ERROR_TYPE_I

@@ -540,6 +540,36 @@ def test_output_onto_input_rejected_before_any_read(data_csv, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize(
+    "command, chain, message",
+    [
+        ("analyze", ["--iters", 0], "iterations must be >= 1, got 0"),
+        ("analyze", ["--iters", 100, "--burnin", 99],
+         "the density estimate needs at least 2 kept sweeps; --iters 100 with --burnin 99 keeps 1"),
+        ("sensitivity", ["--iters", 10, "--burnin", 10],
+         "burn-in must satisfy 0 <= burn_in < iterations, got 10 vs 10"),
+        ("simulate", ["--iters", 0], "iterations must be >= 1, got 0"),
+    ],
+    ids=["analyze-no-sweeps", "analyze-one-kept-sweep", "sensitivity-burn-in-equals-iters",
+         "simulate-no-sweeps"],
+)
+def test_bad_chain_flags_are_rejected_before_any_input_is_read_or_drawn(data_csv, tmp_path, monkeypatch,
+                                                                        capsys, command, chain, message):
+    def no_call(*args, **kwargs):
+        raise AssertionError("the input was read or a dataset was drawn")
+
+    for name in ("mixtt.cli.read_sample_csv", "mixtt.harness.generate_dataset"):
+        monkeypatch.setattr(name, no_call)
+    if command == "simulate":
+        source = ["--scenario", "small", "--n", 30, "--datasets", 3]
+    else:
+        source = ["--input", data_csv]
+    rc = run_cli(command, *source, "--output", tmp_path / "r.json", "--seed", 1, *chain)
+    assert rc == 2
+    assert capsys.readouterr().err == f"mixtt: error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
     "command, flag, target",
     [("simulate", "--output", "missing/s.json"), ("analyze", "--plot-data", "missing/p.csv"),
      ("sensitivity", "--output", ".")],

@@ -58,6 +58,11 @@ def test_a_non_integer_seed_is_a_type_error():
         RngState(1.5)
     with pytest.raises(TypeError):
         derive_seed(1.0, 0)
+    # a bool is an int, but True would otherwise name seed 1's stream
+    with pytest.raises(TypeError, match="bool"):
+        RngState(True)
+    with pytest.raises(TypeError, match="bool"):
+        derive_seed(False, 0)
 
 
 def test_the_largest_seed_is_valid():

@@ -16,6 +16,7 @@ from mixtt import gibbs
 from mixtt.distributions import RngState
 from mixtt.gibbs import (
     ChainConfig,
+    check_chain_length,
     gibbs_sweep,
     initial_draw,
     mu_conditional_params,
@@ -124,6 +125,17 @@ def test_config_validation():
         ChainConfig(100, 10, -1, PRIOR)
     with pytest.raises(TypeError):
         ChainConfig(100, 10, 1.5, PRIOR)
+    with pytest.raises(TypeError):
+        ChainConfig(True, 0, 1, PRIOR)
+    with pytest.raises(TypeError):
+        ChainConfig(10.0, 0, 1, PRIOR)
+
+
+def test_check_chain_length_returns_the_kept_count():
+    assert check_chain_length(10, 0) == 10
+    assert check_chain_length(10, 9) == 1
+    with pytest.raises(TypeError):
+        check_chain_length(10, False)
 
 
 def test_pinned_sigma2_mu_matches_conditional(monkeypatch):

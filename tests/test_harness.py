@@ -67,6 +67,29 @@ def test_study_config_validation():
         StudyConfig(scenario=sc, n_per_group=10, n_datasets=5, master_seed=1, alpha=1.5)
     with pytest.raises(ValueError, match="seed must be in"):
         StudyConfig(scenario=sc, n_per_group=10, n_datasets=5, master_seed=2**64)
+    with pytest.raises(ValueError, match="iterations must be >= 1, got 0"):
+        StudyConfig(scenario=sc, n_per_group=10, n_datasets=5, master_seed=1, iterations=0)
+    with pytest.raises(ValueError, match="burn-in must satisfy"):
+        StudyConfig(scenario=sc, n_per_group=10, n_datasets=5, master_seed=1, iterations=300, burn_in=300)
+
+
+@pytest.mark.parametrize(
+    "setting, value, error, message",
+    [
+        ("master_seed", True, TypeError, "bool"),
+        ("iterations", True, TypeError, "bool"),
+        ("burn_in", False, TypeError, "bool"),
+        ("alpha", True, TypeError, "bool"),
+        ("rope", (False, 0.2), ValueError, "two finite bounds"),
+        ("rope", (-0.2, True), ValueError, "two finite bounds"),
+    ],
+    ids=["master-seed", "iterations", "burn-in", "alpha", "rope-lower", "rope-upper"],
+)
+def test_study_config_rejects_a_bool_setting(setting, value, error, message):
+    # a bool is an int, so unchecked it would run as 1 or 0 and be written as JSON true or false
+    settings = dict(master_seed=1, iterations=10, burn_in=1, alpha=0.95, rope=(-0.2, 0.2))
+    with pytest.raises(error, match=message):
+        StudyConfig(Scenario.named("null"), 10, 1, **{**settings, setting: value})
 
 
 # (rope, message) pairs that analysis.check_rope rejects
@@ -79,6 +102,7 @@ BAD_ROPES = [
     pytest.param(((-0.2, 0.2),), "two finite bounds", id="nested-pair"),
     pytest.param(((-0.5, -0.2), (0.2, 0.5)), "two finite bounds", id="union"),
     pytest.param((-0.2, 0.0, 0.2), "two finite bounds", id="three-bounds"),
+    pytest.param((False, True), "two finite bounds", id="bools"),
 ]
 
 
