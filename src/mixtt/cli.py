@@ -31,10 +31,11 @@ from .harness import (
     SCENARIO_KINDS,
     Scenario,
     StudyConfig,
+    check_presets,
     prior_sensitivity,
     run_study,
 )
-from .model import PRESET_KINDS, GroupedSample, IndependencePrior, PriorPreset, realize_preset
+from .model import PRESET_KINDS, IndependencePrior, PriorPreset, realize_preset
 from .reports import (
     analysis_dict, read_sample_csv, sensitivity_dict, study_result_dict, write_json, write_plot_rows,
 )
@@ -77,16 +78,6 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--B0", type=float, default=None, help="custom prior variance of the group means")
     p.add_argument("--c0", type=float, default=None, help="custom inverse-gamma shape for the variances")
     p.add_argument("--C0", type=float, default=None, help="custom inverse-gamma scale for the variances")
-
-
-def _prior_from_args(args: argparse.Namespace, sample: GroupedSample) -> tuple[IndependencePrior, str]:
-    """The prior for ``analyze`` and the preset name its report gives it."""
-    custom = (args.b0, args.B0, args.c0, args.C0)
-    if all(v is None for v in custom):
-        return realize_preset(PriorPreset(args.prior), sample), args.prior
-    if any(v is None for v in custom):
-        raise ValueError("a custom prior needs all four of --b0 --B0 --c0 --C0")
-    return IndependencePrior(*custom), "custom"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,8 +138,13 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     if check_chain_length(args.iters, args.burnin) < 2:
         raise ValueError(f"the density estimate needs at least 2 kept sweeps; --iters {args.iters} "
                          f"with --burnin {args.burnin} keeps 1")
+    custom = [value for value in (args.b0, args.B0, args.c0, args.C0) if value is not None]
+    if 0 < len(custom) < 4:
+        raise ValueError("a custom prior needs all four of --b0 --B0 --c0 --C0")
+    prior = IndependencePrior(*custom) if custom else None
     sample = read_sample_csv(args.input)
-    prior, preset_kind = _prior_from_args(args, sample)
+    if prior is None:
+        prior = realize_preset(PriorPreset(args.prior), sample)
     welch = welch_t_test(sample)  # fails on a one-row group before any chain runs
     config = ChainConfig(args.iters, args.burnin, args.seed, prior)
     chain = run_chain(sample, config)
@@ -157,7 +153,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     grid, dens = density_grid(effect_size_series(chain, args.direction))
     report = analysis_dict(
         config, chain, summary, float(grid[dens.argmax()]), welch,
-        preset_kind, args.direction, args.rope, args.strict_decision,
+        "custom" if custom else args.prior, args.direction, args.rope, args.strict_decision,
     )
     write_json(report, args.output)
     if args.plot_data is not None:
@@ -183,8 +179,8 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 def cmd_sensitivity(args: argparse.Namespace) -> None:
     _check_distinct_paths(("--input", args.input), ("--output", args.output))
     check_chain_length(args.iters, args.burnin)
+    presets = check_presets(PriorPreset(name.strip()) for name in args.presets.split(",") if name.strip())
     sample = read_sample_csv(args.input)
-    presets = [PriorPreset(name.strip()) for name in args.presets.split(",") if name.strip()]
     records = prior_sensitivity(sample, presets, args.seed, args.iters, args.burnin, args.alpha)
     write_json(sensitivity_dict(records, args.seed, sample.n1, sample.n2), args.output)
 

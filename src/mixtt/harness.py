@@ -22,6 +22,7 @@ kernel, ``gibbs._normals`` calls it once per value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .analysis import PosteriorSummary, check_level, check_rope, summarize
@@ -77,10 +78,15 @@ class Scenario:
         return cls(kind, *_SCENARIOS[kind])
 
 
-def generate_dataset(scenario: Scenario, n_per_group: int, rng: RngState) -> GroupedSample:
-    """Draw a balanced dataset: n from component 1, then n from component 2."""
+def _check_group_size(n_per_group: int) -> None:
+    """Reject fewer than 2 observations per group, too few for a group variance."""
     if n_per_group < 2:
         raise ValueError(f"need at least 2 observations per group, got {n_per_group}")
+
+
+def generate_dataset(scenario: Scenario, n_per_group: int, rng: RngState) -> GroupedSample:
+    """Draw a balanced dataset: n from component 1, then n from component 2."""
+    _check_group_size(n_per_group)
     v1 = scenario.sd1 * scenario.sd1
     v2 = scenario.sd2 * scenario.sd2
     group1 = _normals(rng, scenario.mu1, v1, n_per_group)
@@ -90,7 +96,10 @@ def generate_dataset(scenario: Scenario, n_per_group: int, rng: RngState) -> Gro
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """A simulation study; its seed, chain length, level and rope are checked before any data are drawn."""
+    """A simulation study; its sizes, seed, chain length, level and rope are checked before any draw.
+
+    The sizes are ints, not bools (else TypeError): ``n_per_group`` >= 2 and ``n_datasets`` >= 1.
+    """
 
     scenario: Scenario
     n_per_group: int
@@ -103,8 +112,12 @@ class StudyConfig:
     rope: tuple[float, float] = DEFAULT_ROPE
 
     def __post_init__(self):
-        if self.n_datasets < 1:
+        if isinstance(self.n_per_group, bool) or isinstance(self.n_datasets, bool):
+            raise TypeError(f"n_per_group and n_datasets must be integers, not bools: "
+                            f"{self.n_per_group}, {self.n_datasets}")
+        if operator.index(self.n_datasets) < 1:
             raise ValueError(f"n_datasets must be >= 1, got {self.n_datasets}")
+        _check_group_size(operator.index(self.n_per_group))
         check_seed(self.master_seed)
         check_chain_length(self.iterations, self.burn_in)
         check_level(self.alpha)
@@ -151,6 +164,15 @@ class PresetSummary:
     summary: PosteriorSummary
 
 
+def check_presets(presets) -> list[PriorPreset]:
+    """Return ``presets`` as a list if it holds two or more with no kind repeated, else ValueError."""
+    presets = list(presets)
+    kinds = [preset.kind for preset in presets]
+    if len(kinds) < 2 or len(set(kinds)) < len(kinds):
+        raise ValueError(f"sensitivity needs at least two presets of distinct kinds, got {kinds}")
+    return presets
+
+
 def prior_sensitivity(
     sample: GroupedSample,
     presets,
@@ -169,15 +191,12 @@ def prior_sensitivity(
     Raises
     ------
     ValueError
-        If fewer than two presets are given, a kind repeats, ``alpha`` is not a credible level,
+        If ``presets`` fails :func:`check_presets`, ``alpha`` is not a credible level,
         ``base_seed`` fails :func:`check_seed`, the chain length fails :func:`check_chain_length`,
         or the sample is too small for a pooled standard deviation; no chain runs.
     """
     check_level(alpha)
-    presets = list(presets)
-    kinds = [preset.kind for preset in presets]
-    if len(kinds) < 2 or len(set(kinds)) < len(kinds):
-        raise ValueError(f"sensitivity needs at least two presets of distinct kinds, got {kinds}")
+    presets = check_presets(presets)
     pooled_sd(1.0, 1.0, sample.n1, sample.n2)  # the effect size's size check, before any chain runs
     records = []
     for preset in presets:

@@ -439,7 +439,7 @@ def test_sensitivity_command(data_csv, tmp_path):
 def test_sensitivity_single_preset_fails(data_csv, tmp_path, capsys):
     rc = run_cli("sensitivity", "--input", data_csv, "--seed", 4, "--presets", "wide",
                  "--output", tmp_path / "s.json")
-    assert rc != 0
+    assert rc == 2
     assert "two presets" in capsys.readouterr().err
 
 
@@ -540,7 +540,7 @@ def test_output_onto_input_rejected_before_any_read(data_csv, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize(
-    "command, chain, message",
+    "command, flags, message",
     [
         ("analyze", ["--iters", 0], "iterations must be >= 1, got 0"),
         ("analyze", ["--iters", 100, "--burnin", 99],
@@ -548,12 +548,22 @@ def test_output_onto_input_rejected_before_any_read(data_csv, tmp_path, monkeypa
         ("sensitivity", ["--iters", 10, "--burnin", 10],
          "burn-in must satisfy 0 <= burn_in < iterations, got 10 vs 10"),
         ("simulate", ["--iters", 0], "iterations must be >= 1, got 0"),
+        # the prior settings the flags alone decide are checked before the read too
+        ("analyze", ["--b0", 0], "a custom prior needs all four of --b0 --B0 --c0 --C0"),
+        ("analyze", ["--b0", 0, "--B0", -1, "--c0", 1, "--C0", 1], "B0 must be > 0, got -1.0"),
+        ("sensitivity", ["--presets", "wide"],
+         "sensitivity needs at least two presets of distinct kinds, got ['wide']"),
+        ("sensitivity", ["--presets", "wide,wide"],
+         "sensitivity needs at least two presets of distinct kinds, got ['wide', 'wide']"),
+        ("sensitivity", ["--presets", "wide,bogus"],
+         "unknown preset kind 'bogus'; expected one of ('wide', 'medium', 'narrow')"),
     ],
     ids=["analyze-no-sweeps", "analyze-one-kept-sweep", "sensitivity-burn-in-equals-iters",
-         "simulate-no-sweeps"],
+         "simulate-no-sweeps", "analyze-partial-custom-prior", "analyze-negative-B0",
+         "sensitivity-one-preset", "sensitivity-repeated-preset", "sensitivity-unknown-preset"],
 )
 def test_bad_chain_flags_are_rejected_before_any_input_is_read_or_drawn(data_csv, tmp_path, monkeypatch,
-                                                                        capsys, command, chain, message):
+                                                                        capsys, command, flags, message):
     def no_call(*args, **kwargs):
         raise AssertionError("the input was read or a dataset was drawn")
 
@@ -563,7 +573,7 @@ def test_bad_chain_flags_are_rejected_before_any_input_is_read_or_drawn(data_csv
         source = ["--scenario", "small", "--n", 30, "--datasets", 3]
     else:
         source = ["--input", data_csv]
-    rc = run_cli(command, *source, "--output", tmp_path / "r.json", "--seed", 1, *chain)
+    rc = run_cli(command, *source, "--output", tmp_path / "r.json", "--seed", 1, *flags)
     assert rc == 2
     assert capsys.readouterr().err == f"mixtt: error: {message}\n"
     assert not (tmp_path / "r.json").exists()

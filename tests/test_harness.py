@@ -71,11 +71,20 @@ def test_study_config_validation():
         StudyConfig(scenario=sc, n_per_group=10, n_datasets=5, master_seed=1, iterations=0)
     with pytest.raises(ValueError, match="burn-in must satisfy"):
         StudyConfig(scenario=sc, n_per_group=10, n_datasets=5, master_seed=1, iterations=300, burn_in=300)
+    # the sizes are checked at construction, not in run_study or the kernel
+    with pytest.raises(ValueError, match="need at least 2 observations per group, got 1"):
+        StudyConfig(scenario=sc, n_per_group=1, n_datasets=5, master_seed=1)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        StudyConfig(scenario=sc, n_per_group=3.0, n_datasets=5, master_seed=1)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        StudyConfig(scenario=sc, n_per_group=10, n_datasets=1.5, master_seed=1)
 
 
 @pytest.mark.parametrize(
     "setting, value, error, message",
     [
+        ("n_per_group", True, TypeError, "bool"),
+        ("n_datasets", True, TypeError, "bool"),
         ("master_seed", True, TypeError, "bool"),
         ("iterations", True, TypeError, "bool"),
         ("burn_in", False, TypeError, "bool"),
@@ -83,13 +92,15 @@ def test_study_config_validation():
         ("rope", (False, 0.2), ValueError, "two finite bounds"),
         ("rope", (-0.2, True), ValueError, "two finite bounds"),
     ],
-    ids=["master-seed", "iterations", "burn-in", "alpha", "rope-lower", "rope-upper"],
+    ids=["n-per-group", "n-datasets", "master-seed", "iterations", "burn-in", "alpha", "rope-lower",
+         "rope-upper"],
 )
 def test_study_config_rejects_a_bool_setting(setting, value, error, message):
     # a bool is an int, so unchecked it would run as 1 or 0 and be written as JSON true or false
-    settings = dict(master_seed=1, iterations=10, burn_in=1, alpha=0.95, rope=(-0.2, 0.2))
+    settings = dict(n_per_group=10, n_datasets=1, master_seed=1, iterations=10, burn_in=1, alpha=0.95,
+                    rope=(-0.2, 0.2))
     with pytest.raises(error, match=message):
-        StudyConfig(Scenario.named("null"), 10, 1, **{**settings, setting: value})
+        StudyConfig(Scenario.named("null"), **{**settings, setting: value})
 
 
 # (rope, message) pairs that analysis.check_rope rejects
