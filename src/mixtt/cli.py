@@ -72,7 +72,8 @@ def _add_rope_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior", choices=PRESET_KINDS, default="wide",
+    # None, not "wide", so that cmd_analyze can tell a given --prior from the default
+    p.add_argument("--prior", choices=PRESET_KINDS, default=None,
                    help="data-scaled prior preset")
     p.add_argument("--b0", type=float, default=None, help="custom prior mean of the group means")
     p.add_argument("--B0", type=float, default=None, help="custom prior variance of the group means")
@@ -139,12 +140,15 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         raise ValueError(f"the density estimate needs at least 2 kept sweeps; --iters {args.iters} "
                          f"with --burnin {args.burnin} keeps 1")
     custom = [value for value in (args.b0, args.B0, args.c0, args.C0) if value is not None]
+    if custom and args.prior is not None:
+        raise ValueError("--prior cannot be combined with the custom prior flags --b0 --B0 --c0 --C0")
     if 0 < len(custom) < 4:
         raise ValueError("a custom prior needs all four of --b0 --B0 --c0 --C0")
     prior = IndependencePrior(*custom) if custom else None
+    preset = "custom" if custom else args.prior or "wide"
     sample = read_sample_csv(args.input)
     if prior is None:
-        prior = realize_preset(PriorPreset(args.prior), sample)
+        prior = realize_preset(PriorPreset(preset), sample)
     welch = welch_t_test(sample)  # fails on a one-row group before any chain runs
     config = ChainConfig(args.iters, args.burnin, args.seed, prior)
     chain = run_chain(sample, config)
@@ -153,7 +157,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     grid, dens = density_grid(effect_size_series(chain, args.direction))
     report = analysis_dict(
         config, chain, summary, float(grid[dens.argmax()]), welch,
-        "custom" if custom else args.prior, args.direction, args.rope, args.strict_decision,
+        preset, args.direction, args.rope, args.strict_decision,
     )
     write_json(report, args.output)
     if args.plot_data is not None:

@@ -39,9 +39,9 @@ floats; :func:`run_chain` and :func:`_normals` each allocate one array,
 which the kernel or the Python loop then fills. Variance positivity is
 checked where it is used, by :func:`mu_conditional_params`.
 
-A chain is strictly sequential. Run concurrent chains on independently
-derived seeds (:func:`mixtt.distributions.derive_seed`), never by sharing
-one RngState.
+A chain is strictly sequential. Run concurrent chains through
+:func:`map_chains`, each on an independently derived seed
+(:func:`mixtt.distributions.derive_seed`), never by sharing one RngState.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,6 +70,19 @@ _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _UNLOADED = object()
 # the compiled library, with run_chain and normals bound; None where it cannot be built or loaded
 _kernel = _UNLOADED
+# the process-wide worker pool of map_chains, started on first use; _lock guards both lazy starts
+_pool = None
+_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child, whose copy of the pool has no threads and whose lock may be held."""
+    global _pool, _lock
+    _pool, _lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def check_chain_length(iterations: int, burn_in: int) -> int:
@@ -249,8 +263,30 @@ def _loaded_kernel():
     """The ``_kernel`` handle, loading the library on the first call of a process."""
     global _kernel
     if _kernel is _UNLOADED:
-        _kernel = _load_kernel()
+        with _lock:
+            if _kernel is _UNLOADED:
+                _kernel = _load_kernel()
     return _kernel
+
+
+def map_chains(fn, items) -> list:
+    """``[fn(x) for x in items]``, on one thread per usable CPU where the kernel runs the chains.
+
+    The kernel releases the interpreter lock for a whole chain or data draw;
+    the Python sweep does not, so there, and with one item or one usable CPU,
+    the items run serially. The first item in order to raise raises here.
+    ``fn`` must not call map_chains.
+    """
+    global _pool
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if _loaded_kernel() is None or len(items) < 2 or cpus < 2:
+        return [fn(x) for x in items]
+    with _lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # kept out of import time: analyze never needs it
+            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="mixtt-chain")
+    return list(_pool.map(fn, items))
 
 
 def _normals(rng: RngState, mean: float, variance: float, n: int) -> np.ndarray:

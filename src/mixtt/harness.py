@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .analysis import PosteriorSummary, check_level, check_rope, summarize
 from .distributions import RngState, check_seed, derive_seed
-from .gibbs import ChainConfig, _normals, check_chain_length, run_chain
+from .gibbs import ChainConfig, _normals, check_chain_length, map_chains, run_chain
 from .model import PRESET_KINDS, GroupedSample, PriorPreset, pooled_sd, realize_preset
 from .welch import welch_t_test
 
@@ -139,11 +139,11 @@ def run_study(config: StudyConfig) -> tuple[DatasetRecord, ...]:
 
     Returns one record per dataset, in index order. Dataset i derives its
     seed from (master_seed, i): one child stream for data generation and
-    one for the chain, so any execution order (or a parallel runner)
-    produces identical records.
+    one for the chain, so the records do not depend on execution order:
+    :func:`~mixtt.gibbs.map_chains` runs them on one thread per usable CPU
+    where the compiled kernel runs, and serially without it.
     """
-    records = []
-    for i in range(config.n_datasets):
+    def run_dataset(i: int) -> DatasetRecord:
         dataset_seed = derive_seed(config.master_seed, i)
         data_rng = RngState(derive_seed(dataset_seed, 0))
         sample = generate_dataset(config.scenario, config.n_per_group, data_rng)
@@ -151,8 +151,9 @@ def run_study(config: StudyConfig) -> tuple[DatasetRecord, ...]:
         seed = derive_seed(dataset_seed, 1)
         chain = run_chain(sample, ChainConfig(config.iterations, config.burn_in, seed, prior))
         summary = summarize(chain, DIRECTION, config.alpha)
-        records.append(DatasetRecord(i, dataset_seed, summary, welch_t_test(sample).p_value))
-    return tuple(records)
+        return DatasetRecord(i, dataset_seed, summary, welch_t_test(sample).p_value)
+
+    return tuple(map_chains(run_dataset, range(config.n_datasets)))
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def prior_sensitivity(
     burn_in: int = DEFAULT_BURN_IN,
     alpha: float = DEFAULT_ALPHA,
 ) -> tuple[PresetSummary, ...]:
-    """Fit the same data once per preset, in the given order.
+    """Fit the same data once per preset, in the given order, through :func:`~mixtt.gibbs.map_chains`.
 
     Chain seeds derive from base_seed and the kind's index in
     :data:`~mixtt.model.PRESET_KINDS`, so a kind's summary does not depend on
@@ -198,10 +199,10 @@ def prior_sensitivity(
     check_level(alpha)
     presets = check_presets(presets)
     pooled_sd(1.0, 1.0, sample.n1, sample.n2)  # the effect size's size check, before any chain runs
-    records = []
-    for preset in presets:
+
+    def run_preset(preset: PriorPreset) -> PresetSummary:
         seed = derive_seed(base_seed, PRESET_KINDS.index(preset.kind))
         config = ChainConfig(iterations, burn_in, seed, realize_preset(preset, sample))
-        summary = summarize(run_chain(sample, config), DIRECTION, alpha)
-        records.append(PresetSummary(preset.kind, config, summary))
-    return tuple(records)
+        return PresetSummary(preset.kind, config, summarize(run_chain(sample, config), DIRECTION, alpha))
+
+    return tuple(map_chains(run_preset, presets))

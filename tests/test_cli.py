@@ -557,10 +557,13 @@ def test_output_onto_input_rejected_before_any_read(data_csv, tmp_path, monkeypa
          "sensitivity needs at least two presets of distinct kinds, got ['wide', 'wide']"),
         ("sensitivity", ["--presets", "wide,bogus"],
          "unknown preset kind 'bogus'; expected one of ('wide', 'medium', 'narrow')"),
+        ("analyze", ["--prior", "narrow", "--b0", 1, "--B0", 4, "--c0", 0.5, "--C0", 0.5],
+         "--prior cannot be combined with the custom prior flags --b0 --B0 --c0 --C0"),
     ],
     ids=["analyze-no-sweeps", "analyze-one-kept-sweep", "sensitivity-burn-in-equals-iters",
          "simulate-no-sweeps", "analyze-partial-custom-prior", "analyze-negative-B0",
-         "sensitivity-one-preset", "sensitivity-repeated-preset", "sensitivity-unknown-preset"],
+         "sensitivity-one-preset", "sensitivity-repeated-preset", "sensitivity-unknown-preset",
+         "analyze-preset-and-custom-prior"],
 )
 def test_bad_chain_flags_are_rejected_before_any_input_is_read_or_drawn(data_csv, tmp_path, monkeypatch,
                                                                         capsys, command, flags, message):

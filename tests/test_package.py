@@ -40,3 +40,14 @@ def test_cli_import_builds_no_kernel():
     src = str(Path(mixtt.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "True"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures (about 4 ms, and logging with it) loads with the first study's pool, never for analyze
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import mixtt.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    src = str(Path(mixtt.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
