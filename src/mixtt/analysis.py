@@ -21,6 +21,8 @@ DIRECTIONS = ("g1-g2", "g2-g1")
 
 # points of the uniform grid over [min, max] that the density is evaluated on
 _DENSITY_GRID_POINTS = 512
+# grid points per block of the density sum: the block of points x draws stays small enough to cache
+_DENSITY_BLOCK_POINTS = 16
 
 DECISION_ACCEPTED = "accepted"
 DECISION_REJECTED = "rejected"
@@ -85,10 +87,18 @@ def density_grid(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         spread = sd
     h = 0.9 * spread * draws.size ** (-0.2)
     dens = np.empty(grid.size)
-    # block over the grid to bound the broadcast temporaries
-    for start in range(0, grid.size, 64):
-        block = grid[start : start + 64, None]
-        dens[start : start + 64] = np.exp(-0.5 * ((block - draws[None, :]) / h) ** 2).sum(axis=1)
+    # exp(-0.5 * ((x - draws) / h) ** 2) summed per grid point x, a few points at a time, each step
+    # in place in one reused block: a fresh temporary per step cost more than the arithmetic
+    scratch = np.empty((_DENSITY_BLOCK_POINTS, draws.size))
+    for start in range(0, grid.size, _DENSITY_BLOCK_POINTS):
+        points = grid[start : start + _DENSITY_BLOCK_POINTS, None]
+        block = scratch[: points.shape[0]]
+        np.subtract(points, draws, out=block)
+        np.divide(block, h, out=block)
+        np.square(block, out=block)
+        np.multiply(block, -0.5, out=block)
+        np.exp(block, out=block)
+        block.sum(axis=1, out=dens[start : start + points.shape[0]])
     return grid, dens * (1.0 / (draws.size * h * math.sqrt(2.0 * math.pi)))
 
 

@@ -9,8 +9,10 @@ with identical flags produces byte-identical output files.
 Exit status is 0 on success. Any rejected input, unreadable file, output
 that is a directory or in a missing directory (rejected before any chain
 runs), or run too large for memory (``--iters`` or ``--n`` whose arrays
-cannot be allocated) exits 2 with ``mixtt: error: <message>`` on stderr;
-argparse usage errors also exit 2. A traceback means a defect.
+cannot be allocated; ``analyze`` and ``sensitivity`` find a too large
+``--iters`` before they read the input) exits 2 with
+``mixtt: error: <message>`` on stderr; argparse usage errors also exit 2.
+A traceback means a defect.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from .analysis import DIRECTIONS, check_level, check_rope, density_grid, effect_size_series, summarize
 from .distributions import check_seed
-from .gibbs import ChainConfig, check_chain_length, run_chain
+from .gibbs import ChainConfig, chain_block, check_chain_length, run_chain
 from .harness import (
     DEFAULT_ALPHA,
     DEFAULT_BURN_IN,
@@ -136,7 +138,8 @@ def _check_distinct_paths(*flags: tuple[str, str | None]) -> None:
 def cmd_analyze(args: argparse.Namespace) -> None:
     _check_distinct_paths(
         ("--input", args.input), ("--output", args.output), ("--plot-data", args.plot_data))
-    if check_chain_length(args.iters, args.burnin) < 2:
+    kept = check_chain_length(args.iters, args.burnin)
+    if kept < 2:
         raise ValueError(f"the density estimate needs at least 2 kept sweeps; --iters {args.iters} "
                          f"with --burnin {args.burnin} keeps 1")
     custom = [value for value in (args.b0, args.B0, args.c0, args.C0) if value is not None]
@@ -146,6 +149,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         raise ValueError("a custom prior needs all four of --b0 --B0 --c0 --C0")
     prior = IndependencePrior(*custom) if custom else None
     preset = "custom" if custom else args.prior or "wide"
+    chain_block(kept)  # a chain too large for memory fails here, before the read; the block is dropped
     sample = read_sample_csv(args.input)
     if prior is None:
         prior = realize_preset(PriorPreset(preset), sample)
@@ -182,8 +186,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 def cmd_sensitivity(args: argparse.Namespace) -> None:
     _check_distinct_paths(("--input", args.input), ("--output", args.output))
-    check_chain_length(args.iters, args.burnin)
+    kept = check_chain_length(args.iters, args.burnin)
     presets = check_presets(PriorPreset(name.strip()) for name in args.presets.split(",") if name.strip())
+    chain_block(kept)  # as in cmd_analyze
     sample = read_sample_csv(args.input)
     records = prior_sensitivity(sample, presets, args.seed, args.iters, args.burnin, args.alpha)
     write_json(sensitivity_dict(records, args.seed, sample.n1, sample.n2), args.output)

@@ -303,6 +303,11 @@ def _normals(rng: RngState, mean: float, variance: float, n: int) -> np.ndarray:
     return out
 
 
+def chain_block(kept: int) -> np.ndarray:
+    """The uninitialized (4, kept) block whose rows hold a chain's draws; MemoryError if too large."""
+    return np.empty((4, kept))
+
+
 def run_chain(sample: GroupedSample, config: ChainConfig) -> PosteriorChain:
     """Run a seeded chain and return the post-burn-in draws in sweep order."""
     kernel = _loaded_kernel()
@@ -310,7 +315,7 @@ def run_chain(sample: GroupedSample, config: ChainConfig) -> PosteriorChain:
     prior = config.prior
     rng = RngState(config.seed)
     kept = config.iterations - config.burn_in
-    draws = np.empty((4, kept))
+    draws = chain_block(kept)
     gave_up = kernel is None or kernel.run_chain(
         (ctypes.c_uint64 * 4)(*rng.state_words()),
         (ctypes.c_double * 6)(stats.n1, stats.n2, stats.ybar1, stats.ybar2, stats.s2y1, stats.s2y2),

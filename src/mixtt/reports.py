@@ -4,7 +4,11 @@ Input CSV has a ``value,group`` header. Each value is a finite number without
 ``_`` digit separators; the group column holds exactly two distinct non-blank
 labels, and the first label in the file becomes group 1. A report depends
 only on each group's values in file order and on which label comes first,
-not on how the two groups' rows are interleaved. Reports are JSON with
+not on how the two groups' rows are interleaved. Plain files are read in
+bulk, a block of whole lines at a time. A file with a quoted field, a CR
+line end, a NUL, a blank or whitespace-only line, or a row that breaks a
+rule above is read row by row through the csv module instead: the same
+groups and the same errors, at about half the speed. Reports are JSON with
 sorted keys and floats in shortest round-trip notation, so identical runs
 produce byte-identical files.
 
@@ -95,6 +99,11 @@ from .model import GroupedSample, IndependencePrior
 from .welch import WelchResult
 
 
+# characters the bulk reader takes per read, before completing the last line: enough to
+# amortize the per-block numpy calls; 64 KiB read as fast as 256 KiB, with less peak memory
+_BLOCK_CHARS = 1 << 16
+
+
 def read_sample_csv(path: str | Path) -> GroupedSample:
     """Read a two-column ``value,group`` CSV into a :class:`GroupedSample`.
 
@@ -106,6 +115,80 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
     ValueError
         On a malformed header, row, or value; messages carry line numbers.
     """
+    groups = _read_blocks(path)
+    if groups is None:  # the row loop reads what the blocks decline, and names a bad line
+        return _read_rows(path)
+    return _sample(path, groups)
+
+
+def _read_blocks(path: str | Path) -> dict[str, np.ndarray] | None:
+    """Each group's values, read in blocks of whole lines; None declines the file.
+
+    A block is taken only where the row loop would read every line as the
+    plain ``value,label`` pair it is: no quote, CR or NUL, exactly one comma,
+    no line over the csv module's field size limit. Its values must pass the
+    ``_`` and finite rules, and ``np.array(..., dtype=float)`` parses them as
+    ``float()`` does; its labels must strip to at most two distinct non-blank
+    ones. Anything else, a blank line, undecodable text or a file without
+    rows included, declines, so the row loop alone words every error.
+    """
+    limit = csv.field_size_limit()
+    index: dict[str, int] = {}  # stripped label -> group, in order of first appearance
+    parts: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # as the row loop opens it
+            header = fh.readline()
+            names = [h.strip().lower() for h in header.removesuffix("\n").split(",")]
+            if _unplain(header) or names != ["value", "group"]:
+                return None
+            while block := fh.read(_BLOCK_CHARS):
+                if not block.endswith("\n"):
+                    block += fh.readline()  # complete the last line; only the file's last may lack a newline
+                if _unplain(block):
+                    return None
+                body = block.removesuffix("\n")
+                # ',' and '\n' are single bytes in UTF-8 and occur in no other character's encoding
+                raw = np.frombuffer(body.encode(), np.uint8)
+                newlines = np.flatnonzero(raw == ord("\n"))
+                starts, ends = np.append(0, newlines + 1), np.append(newlines, raw.size)
+                commas = np.flatnonzero(raw == ord(","))
+                # n commas for n lines, comma i inside line i: every line holds exactly one. A line's
+                # length in bytes bounds its fields' lengths in characters
+                if (commas.size != starts.size or (commas < starts).any() or (commas >= ends).any()
+                        or (ends - starts).max() > limit):
+                    return None
+                fields = body.replace("\n", ",").split(",")
+                values, labels = fields[0::2], fields[1::2]
+                if "_" in block and "_" in "".join(values):  # float() would read 1_0 as 10
+                    return None
+                v = np.array(values, dtype=float)
+                if not np.isfinite(v).all():
+                    return None
+                codes = {}  # raw label -> group
+                for label in dict.fromkeys(labels):
+                    stripped = label.strip()
+                    if not stripped:
+                        return None
+                    codes[label] = index.setdefault(stripped, len(index))
+                if len(index) > 2:
+                    return None
+                first = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels)) == 0
+                parts[0].append(v[first])
+                parts[1].append(v[~first])
+    except ValueError:  # undecodable text, or a value float() rejects
+        return None
+    if not index:
+        return None
+    return {label: np.concatenate(parts[group]) for label, group in index.items()}
+
+
+def _unplain(text: str) -> bool:
+    """Whether ``text`` holds a character the csv module reads as more than plain text."""
+    return '"' in text or "\r" in text or "\0" in text
+
+
+def _read_rows(path: str | Path) -> GroupedSample:
+    """:func:`read_sample_csv` one row at a time through the csv module: any input, slowly."""
     groups: dict[str, list[float]] = {}  # label -> values, labels in order of first appearance
     with open(path, newline="", encoding="utf-8-sig") as fh:  # tolerates a UTF-8 BOM
         reader = csv.reader(fh)
@@ -136,8 +219,13 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
             groups.setdefault(label, []).append(value)
     if not groups:
         raise ValueError(f"{path}: no data rows")
+    return _sample(path, groups)
+
+
+def _sample(path: str | Path, groups: dict) -> GroupedSample:
+    """The sample of label -> values, the first label as group 1; one label leaves group 2 empty."""
     try:
-        return GroupedSample(*[*groups.values(), []][:2])  # one label leaves group 2 empty
+        return GroupedSample(*[*groups.values(), []][:2])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

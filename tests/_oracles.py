@@ -245,3 +245,21 @@ def ks_distance(draws, cdf) -> float:
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return float(max(upper, lower))
+
+
+def density_grid_broadcast(draws):
+    """``analysis.density_grid`` as one broadcast over every (grid point, draw) pair.
+
+    The package evaluates the same expression in the same order a few grid
+    points at a time, in place in one reused block; the two must agree bit
+    for bit, since each grid point's sum runs over the same row of terms.
+    """
+    grid = np.linspace(draws.min(), draws.max(), 512)
+    sd = float(draws.std(ddof=1))
+    q25, q75 = np.percentile(draws, [25.0, 75.0])
+    spread = min(sd, (q75 - q25) / 1.34)
+    if spread <= 0.0:
+        spread = sd
+    h = 0.9 * spread * draws.size ** (-0.2)
+    dens = np.exp(-0.5 * ((grid[:, None] - draws[None, :]) / h) ** 2).sum(axis=1)
+    return grid, dens * (1.0 / (draws.size * h * math.sqrt(2.0 * math.pi)))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import shortest_covering_interval
+from _oracles import density_grid_broadcast, shortest_covering_interval
 
 from mixtt.analysis import (
     DECISION_ACCEPTED,
@@ -16,6 +16,7 @@ from mixtt.analysis import (
     classify_error,
     cohen_partition,
     delta_mpe,
+    density_grid,
     effect_size_series,
     hpd_decision,
     hpd_interval,
@@ -82,6 +83,16 @@ def test_posterior_mode_normal_draws():
     rng = RngState(2024)
     draws = np.array([sample_normal(rng, 2.0, 1.0) for _ in range(100_000)])
     assert posterior_mode(draws) == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("m", [2, 15, 16, 17, 5_000, 20_000])
+def test_density_grid_matches_the_broadcast_reference_bit_for_bit(m):
+    # m draws: around the 16 rows of the package's block, a default chain's 5,000 kept sweeps, a long chain's
+    draws = np.random.default_rng(m).normal(0.4, 0.3, m)
+    grid, dens = density_grid(draws)
+    ref_grid, ref_dens = density_grid_broadcast(draws)
+    assert grid.tobytes() == ref_grid.tobytes()
+    assert dens.tobytes() == ref_dens.tobytes()
 
 
 def test_posterior_mode_degenerate():

@@ -582,6 +582,22 @@ def test_bad_chain_flags_are_rejected_before_any_input_is_read_or_drawn(data_csv
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+def test_chain_too_large_for_memory_is_rejected_before_any_input_is_read(data_csv, tmp_path, monkeypatch,
+                                                                        capsys, command):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr("mixtt.cli.read_sample_csv", no_read)
+    rc = run_cli(command, "--input", data_csv, "--output", tmp_path / "r.json", "--seed", 1,
+                 "--iters", 100_000_000_000_000, "--burnin", 0)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mixtt: error: Unable to allocate")
+    assert err.rstrip().endswith("for an array with shape (4, 100000000000000) and data type float64")
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, target",
     [("simulate", "--output", "missing/s.json"), ("analyze", "--plot-data", "missing/p.csv"),
