@@ -4,13 +4,13 @@ Input CSV has a ``value,group`` header. Each value is a finite number without
 ``_`` digit separators; the group column holds exactly two distinct non-blank
 labels, and the first label in the file becomes group 1. A report depends
 only on each group's values in file order and on which label comes first,
-not on how the two groups' rows are interleaved. Plain files are read in
-bulk, a block of whole lines at a time. A file with a quoted field, a CR
-line end, a NUL, a blank or whitespace-only line, or a row that breaks a
-rule above is read row by row through the csv module instead: the same
-groups and the same errors, at about half the speed. Reports are JSON with
-sorted keys and floats in shortest round-trip notation, so identical runs
-produce byte-identical files.
+not on how the two groups' rows are interleaved. Plain blocks of whole
+lines are read in bulk until the first block that is not plain: one with a
+quoted field, a CR line end, a NUL, a blank or whitespace-only line, or a
+row that breaks a rule above. The rest of the file is read row by row
+through the csv module; a rejected row, or a csv-module error, names its
+line. Reports are JSON with sorted keys and floats in shortest round-trip
+notation, so identical runs produce byte-identical files.
 
 Three blocks recur below. A *summary* is ``delta_mpe`` (posterior mean of
 the effect size), ``hpd`` (``level``, ``lower``, ``upper``: the shortest
@@ -73,6 +73,8 @@ empty. ``delta_mode`` is the density rows' peak, from the same grid.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 from itertools import combinations
@@ -99,7 +101,7 @@ from .model import GroupedSample, IndependencePrior
 from .welch import WelchResult
 
 
-# characters the bulk reader takes per read, before completing the last line: enough to
+# characters the bulk pass takes per read, before completing the last line: enough to
 # amortize the per-block numpy calls; 64 KiB read as fast as 256 KiB, with less peak memory
 _BLOCK_CHARS = 1 << 16
 
@@ -108,97 +110,100 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
     """Read a two-column ``value,group`` CSV into a :class:`GroupedSample`.
 
     The header and every data row hold exactly two fields; blank lines are
-    skipped.
+    skipped. Plain blocks are read in bulk until the first block that is not
+    plain; the csv loop reads that block and the rest of the file row by row.
 
     Raises
     ------
     ValueError
-        On a malformed header, row, or value; messages carry line numbers.
+        On a malformed header, row, or value, or undecodable text; a rejected
+        row, or a csv-module error, names its line.
     """
-    groups = _read_blocks(path)
-    if groups is None:  # the row loop reads what the blocks decline, and names a bad line
-        return _read_rows(path)
-    return _sample(path, groups)
-
-
-def _read_blocks(path: str | Path) -> dict[str, np.ndarray] | None:
-    """Each group's values, read in blocks of whole lines; None declines the file.
-
-    A block is taken only where the row loop would read every line as the
-    plain ``value,label`` pair it is: no quote, CR or NUL, exactly one comma,
-    no line over the csv module's field size limit. Its values must pass the
-    ``_`` and finite rules, and ``np.array(..., dtype=float)`` parses them as
-    ``float()`` does; its labels must strip to at most two distinct non-blank
-    ones. Anything else, a blank line, undecodable text or a file without
-    rows included, declines, so the row loop alone words every error.
-    """
-    limit = csv.field_size_limit()
-    index: dict[str, int] = {}  # stripped label -> group, in order of first appearance
-    parts: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
+    groups: dict[str, list[np.ndarray]] = {}  # label -> its values in parts, in order of first appearance
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # as the row loop opens it
-            header = fh.readline()
-            names = [h.strip().lower() for h in header.removesuffix("\n").split(",")]
-            if _unplain(header) or names != ["value", "group"]:
-                return None
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # tolerates a UTF-8 BOM
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            header = [h.strip().lower() for h in header]
+            if header != ["value", "group"]:
+                raise ValueError(f"{path}: line 1: expected header 'value,group', got {','.join(header)!r}")
+            lineno = 2  # the number of the next block's first row
             while block := fh.read(_BLOCK_CHARS):
                 if not block.endswith("\n"):
                     block += fh.readline()  # complete the last line; only the file's last may lack a newline
-                if _unplain(block):
-                    return None
-                body = block.removesuffix("\n")
-                # ',' and '\n' are single bytes in UTF-8 and occur in no other character's encoding
-                raw = np.frombuffer(body.encode(), np.uint8)
-                newlines = np.flatnonzero(raw == ord("\n"))
-                starts, ends = np.append(0, newlines + 1), np.append(newlines, raw.size)
-                commas = np.flatnonzero(raw == ord(","))
-                # n commas for n lines, comma i inside line i: every line holds exactly one. A line's
-                # length in bytes bounds its fields' lengths in characters
-                if (commas.size != starts.size or (commas < starts).any() or (commas >= ends).any()
-                        or (ends - starts).max() > limit):
-                    return None
-                fields = body.replace("\n", ",").split(",")
-                values, labels = fields[0::2], fields[1::2]
-                if "_" in block and "_" in "".join(values):  # float() would read 1_0 as 10
-                    return None
-                v = np.array(values, dtype=float)
-                if not np.isfinite(v).all():
-                    return None
-                codes = {}  # raw label -> group
-                for label in dict.fromkeys(labels):
-                    stripped = label.strip()
-                    if not stripped:
-                        return None
-                    codes[label] = index.setdefault(stripped, len(index))
-                if len(index) > 2:
-                    return None
-                first = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels)) == 0
-                parts[0].append(v[first])
-                parts[1].append(v[~first])
-    except ValueError:  # undecodable text, or a value float() rejects
-        return None
-    if not index:
-        return None
-    return {label: np.concatenate(parts[group]) for label, group in index.items()}
+                rows = _take_block(block, groups)
+                if not rows:
+                    _read_rows(path, itertools.chain(io.StringIO(block, newline=""), fh), lineno, groups)
+                    break
+                lineno += rows
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except csv.Error as exc:  # in the header: the csv loop names its own rows' lines
+        raise ValueError(f"{path}: line 1: {exc}") from None
+    if not groups:
+        raise ValueError(f"{path}: no data rows")
+    try:  # one label leaves group 2 empty
+        return GroupedSample(*[*map(np.concatenate, groups.values()), []][:2])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _unplain(text: str) -> bool:
-    """Whether ``text`` holds a character the csv module reads as more than plain text."""
-    return '"' in text or "\r" in text or "\0" in text
+def _take_block(block: str, groups: dict[str, list[np.ndarray]]) -> int:
+    """Add a plain block's values to ``groups`` and return its row count; 0 leaves ``groups`` as it was.
+
+    A block is plain where the csv loop would read every line as the plain
+    ``value,label`` pair it is: no quote, CR or NUL, exactly one comma, no
+    line over the csv module's field size limit. Its values must pass the
+    ``_`` and finite rules, and ``np.array(..., dtype=float)`` parses them as
+    ``float()`` does; its labels must strip to non-blank ones, at most two
+    with those already in ``groups``. Anything else, a blank line included,
+    is left to the csv loop, so it alone words every error.
+    """
+    if '"' in block or "\r" in block or "\0" in block:
+        return 0
+    body = block.removesuffix("\n")
+    # ',' and '\n' are single bytes in UTF-8 and occur in no other character's encoding
+    raw = np.frombuffer(body.encode(), np.uint8)
+    newlines = np.flatnonzero(raw == ord("\n"))
+    starts, ends = np.append(0, newlines + 1), np.append(newlines, raw.size)
+    commas = np.flatnonzero(raw == ord(","))
+    # n commas for n lines, comma i inside line i: every line holds exactly one. A line's
+    # length in bytes bounds its fields' lengths in characters
+    if (commas.size != starts.size or (commas < starts).any() or (commas >= ends).any()
+            or (ends - starts).max() > csv.field_size_limit()):
+        return 0
+    fields = body.replace("\n", ",").split(",")
+    values, labels = fields[0::2], fields[1::2]
+    if "_" in block and "_" in "".join(values):  # float() would read 1_0 as 10
+        return 0
+    try:
+        v = np.array(values, dtype=float)
+    except ValueError:  # a value float() rejects
+        return 0
+    if not np.isfinite(v).all():
+        return 0
+    index = {label: group for group, label in enumerate(groups)}  # stripped label -> group
+    codes = {}  # raw label -> group
+    for label in dict.fromkeys(labels):
+        stripped = label.strip()
+        if not stripped:
+            return 0
+        codes[label] = index.setdefault(stripped, len(index))
+    if len(index) > 2:
+        return 0
+    first = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels)) == 0
+    for label, part in zip(index, (v[first], v[~first])):
+        groups.setdefault(label, []).append(part)
+    return v.size
 
 
-def _read_rows(path: str | Path) -> GroupedSample:
-    """:func:`read_sample_csv` one row at a time through the csv module: any input, slowly."""
-    groups: dict[str, list[float]] = {}  # label -> values, labels in order of first appearance
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # tolerates a UTF-8 BOM
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip().lower() for h in header]
-        if header != ["value", "group"]:
-            raise ValueError(f"{path}: line 1: expected header 'value,group', got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
+def _read_rows(path: str | Path, lines, lineno: int, groups: dict[str, list[np.ndarray]]) -> None:
+    """The csv loop: add the rows of ``lines``, the first numbered ``lineno``, to ``groups``."""
+    tails: dict[str, list[float]] = {label: [] for label in groups}  # label -> the values read here
+    lineno -= 1  # the last row read
+    try:
+        for lineno, row in enumerate(csv.reader(lines), start=lineno + 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
             if len(row) != 2:
@@ -214,20 +219,13 @@ def _read_rows(path: str | Path) -> GroupedSample:
             label = row[1].strip()
             if not label:
                 raise ValueError(f"{path}: line {lineno}: empty group label")
-            if label not in groups and len(groups) == 2:
-                raise ValueError(f"{path}: line {lineno}: more than two group labels: {[*groups, label]!r}")
-            groups.setdefault(label, []).append(value)
-    if not groups:
-        raise ValueError(f"{path}: no data rows")
-    return _sample(path, groups)
-
-
-def _sample(path: str | Path, groups: dict) -> GroupedSample:
-    """The sample of label -> values, the first label as group 1; one label leaves group 2 empty."""
-    try:
-        return GroupedSample(*[*groups.values(), []][:2])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            if label not in tails and len(tails) == 2:
+                raise ValueError(f"{path}: line {lineno}: more than two group labels: {[*tails, label]!r}")
+            tails.setdefault(label, []).append(value)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {lineno + 1}: {exc}") from None
+    for label, tail in tails.items():
+        groups.setdefault(label, []).append(np.array(tail, dtype=float))
 
 
 def analysis_dict(

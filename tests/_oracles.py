@@ -3,17 +3,21 @@
 These deliberately compute the same quantities as the package by different
 routes: brute-force enumeration for HPD intervals, 2-D quadrature for the
 per-group posterior, iid draws from the exact posterior (a 1-D grid in
-log v with the mean integrated out) for effect-size summaries, and batch
-means for Monte Carlo standard errors. They must stay independent of the
+log v with the mean integrated out) for effect-size summaries, batch
+means for Monte Carlo standard errors, and one csv-module loop over a
+whole file for the CSV reader. They must stay independent of the
 implementation they check.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 from scipy.integrate import simpson
+
+from mixtt.model import GroupedSample
 
 
 def shortest_covering_interval(values, level):
@@ -263,3 +267,59 @@ def density_grid_broadcast(draws):
     h = 0.9 * spread * draws.size ** (-0.2)
     dens = np.exp(-0.5 * ((grid[:, None] - draws[None, :]) / h) ** 2).sum(axis=1)
     return grid, dens * (1.0 / (draws.size * h * math.sqrt(2.0 * math.pi)))
+
+
+def read_rows_reference(path):
+    """``reports.read_sample_csv`` as one csv-module loop over the whole file, a row at a time.
+
+    The package reads plain blocks in bulk and hands the first other block,
+    and the rest of the file, to its own row loop; every file must give the
+    same groups, bit for bit, or the same error. A csv-module error names its
+    row's line, and undecodable text names the file.
+    """
+    groups = {}  # label -> values, labels in order of first appearance
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # tolerates a UTF-8 BOM
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line 1: {exc}") from None
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            header = [h.strip().lower() for h in header]
+            if header != ["value", "group"]:
+                raise ValueError(f"{path}: line 1: expected header 'value,group', got {','.join(header)!r}")
+            lineno = 1  # the last row read
+            try:
+                for lineno, row in enumerate(reader, start=2):
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue  # blank line
+                    if len(row) != 2:
+                        raise ValueError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
+                    try:
+                        if "_" in row[0]:  # float() would read 1_0 as 10
+                            raise ValueError
+                        value = float(row[0])
+                    except ValueError:
+                        raise ValueError(f"{path}: line {lineno}: not a number: {row[0]!r}") from None
+                    if not math.isfinite(value):
+                        raise ValueError(f"{path}: line {lineno}: not a finite number: {row[0]!r}")
+                    label = row[1].strip()
+                    if not label:
+                        raise ValueError(f"{path}: line {lineno}: empty group label")
+                    if label not in groups and len(groups) == 2:
+                        raise ValueError(
+                            f"{path}: line {lineno}: more than two group labels: {[*groups, label]!r}"
+                        )
+                    groups.setdefault(label, []).append(value)
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {lineno + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not groups:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        return GroupedSample(*[*groups.values(), []][:2])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

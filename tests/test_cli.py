@@ -267,6 +267,28 @@ def test_extra_columns_rejected_with_line_number(tmp_path, capsys, text, line):
     assert line in capsys.readouterr().err
 
 
+LONG_VALUE = "0." + "0" * 131070 + "1"  # one character over the csv module's default field size limit
+
+
+@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (f"value,group\n1.0,a\n2.0,b\n3.0,a\n{LONG_VALUE},b\n", 5),
+        (f"{LONG_VALUE},group\n1.0,a\n2.0,b\n3.0,a\n4.0,b\n", 1),
+    ],
+    ids=["data-row", "header"],
+)
+def test_csv_module_error_names_the_line(tmp_path, capsys, command, text, line):
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    rc = run_cli(command, "--input", path, "--output", tmp_path / "r.json", "--seed", 1,
+                 "--iters", 300, "--burnin", 100)
+    assert rc == 2
+    assert capsys.readouterr().err == f"mixtt: error: {path}: line {line}: field larger than field limit (131072)\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
 def test_one_label_file_names_the_file(tmp_path, capsys, command):
     path = tmp_path / "one.csv"

@@ -1,27 +1,58 @@
-"""The bulk CSV reader against the row loop it falls back to.
+"""The CSV reader against a csv-module loop over the whole file.
 
-``read_sample_csv`` reads plain files in blocks of whole lines and hands any
-other file to ``_read_rows``, the csv-module loop. Every input must give
-the same groups, bit for bit, or the same error, whichever reader runs.
+``read_sample_csv`` opens a file once, reads plain blocks of whole lines in
+bulk and hands the first other block, and the rest of the file, to
+``_read_rows``, the csv-module loop. Every input must give the same groups,
+bit for bit, or the same error as ``read_rows_reference``, wherever the
+loop takes over.
 """
 
 import random
 
 import pytest
+from _oracles import read_rows_reference
 
 from mixtt import reports
 
 
 def _outcome(read, path):
+    """The groups' bytes, or the error's type and text; undecodable text's error need only name the file.
+
+    The codec's byte position in that message depends on how much of the file was decoded at once.
+    """
     try:
         sample = read(path)
-    except Exception as exc:  # csv.Error and UnicodeDecodeError too: the row loop raises them today
+    except Exception as exc:
+        try:
+            path.read_bytes().decode("utf-8-sig")
+        except UnicodeDecodeError:
+            return type(exc), str(exc).startswith(f"{path}: ")
         return type(exc), str(exc)
     return sample.group1.dtype, sample.group1.tobytes(), sample.group2.tobytes()
 
 
+def _read_recording(monkeypatch, path):
+    """:func:`_outcome` of ``read_sample_csv``, and the first line the csv loop read, or None."""
+    firsts = []
+    read_rows = reports._read_rows
+
+    def recording(path, lines, lineno, groups):
+        firsts.append(lineno)
+        return read_rows(path, lines, lineno, groups)
+
+    monkeypatch.setattr(reports, "_read_rows", recording)
+    outcome = _outcome(reports.read_sample_csv, path)
+    monkeypatch.undo()
+    assert len(firsts) <= 1
+    return outcome, (firsts or [None])[0]
+
+
+def _lines(rows, end="\n"):
+    return "".join(f"{v},{g}{end}" for v, g in rows)
+
+
 def _rows(rows, end="\n"):
-    return "value,group" + end + "".join(f"{v},{g}{end}" for v, g in rows)
+    return "value,group" + end + _lines(rows, end)
 
 
 def _spread(n):
@@ -35,57 +66,65 @@ def _past_block():
     return rows
 
 
-# (id, file bytes, whether the bulk reader takes the file)
+# the number of the first line after the first read block of a file of _past_block() rows
+SECOND_BLOCK = 2 + -(-reports._BLOCK_CHARS // 20)
+
+# (id, file bytes, the first line the csv loop reads, or None where the bulk pass reads every row)
 CASES = [
-    ("plain", _rows(_spread(12)).encode(), True),
-    ("no-trailing-newline", _rows(_spread(6))[:-1].encode(), True),
-    ("crlf", _rows(_spread(8), "\r\n").encode(), False),
-    ("quoted", b'value,group\n"1.5","a"\n2,b\n" 2.5 ",a\n3,"b"\n', False),
-    ("bom", ("\ufeff" + _rows(_spread(6))).encode(), True),
-    ("blank-lines", b"value,group\n1,a\n\n2,b\n   \n3,a\n4,b\n", False),
-    ("trailing-blank-line", b"value,group\n1,a\n2,b\n3,a\n\n", False),
-    ("header-spaces-and-case", b" Value , GROUP \n1,a\n2,b\n3,a\n", True),
-    ("label-spaces", b"value,group\n1, a\n2,b \n3,a\n4, b \n", True),
-    ("label-underscores", b"value,group\n1,_x_\n2,y_1\n3,_x_\n4,y_1\n", True),
-    ("non-ascii-labels", "value,group\n1,κοντρόλ\n2,処置\n3,κοντρόλ\n4,処置\n".encode(), True),
-    ("unicode-digits", "value,group\n١٢,a\n１２.５,b\n٣,a\n4,b\n".encode(), True),
-    ("odd-values", b"value,group\n+1e-300,a\n 2.5 ,b\n0,a\n-0,b\n4.9e-324,a\n1e50,b\n", True),
-    ("numeric-labels", b"value,group\n1.0,2\n5,3\n2.0,2\n6,3\n", True),
-    ("one-label", b"value,group\n1,a\n2,a\n3, a\n", True),
-    ("row-split-at-block-boundary", _rows(_past_block()).encode(), True),
-    ("empty-file", b"", False),
-    ("bad-header", b"amount,arm\n1,a\n2,b\n", False),
-    ("header-third-column", b"value,group,note\n1,a\n2,b\n", False),
-    ("header-only", b"value,group\n", False),
-    ("extra-column", b"value,group\n1,a\n2,b,junk\n3,a\n", False),
-    ("missing-column", b"value,group\n1,a\n2\n3,b\n", False),
-    ("misaligned-comma-numeric-labels", b"value,group\n5\n1.0,2,3\n", False),
-    ("not-a-number", b"value,group\n1,a\nx,b\n", False),
-    ("underscore-value", b"value,group\n1,a\n1_0,b\n", False),
-    ("nan", b"value,group\n1,a\nnan,b\n", False),
-    ("inf", b"value,group\n1,a\n-Infinity,b\n", False),
-    ("overflowing-literal", b"value,group\n1,a\n1e400,b\n", False),
-    ("empty-label", b"value,group\n1,a\n2,\n3,b\n", False),
-    ("blank-label", b"value,group\n1,a\n2,  \n3,b\n", False),
-    ("third-label", b"value,group\n1,a\n2,b\n3,c\n", False),
-    ("third-label-after-first-block", _rows(_past_block() + [("7", "c")]).encode(), False),
-    ("bad-value-after-first-block", _rows(_past_block() + [("x", "a")]).encode(), False),
-    ("nul", b"value,group\n1,a\n2\x00,b\n3,b\n", False),
-    ("overflowing-squares", b"value,group\n1e300,a\n-1e300,a\n2,b\n3,b\n", True),
-    ("undecodable", b"value,group\n1,a\n2,\xffb\n3,b\n", False),
-    ("field-over-csv-limit", b"value,group\n1,a\n2,b\n0." + b"0" * 131072 + b"1,a\n", False),
+    ("plain", _rows(_spread(12)).encode(), None),
+    ("no-trailing-newline", _rows(_spread(6))[:-1].encode(), None),
+    ("crlf", _rows(_spread(8), "\r\n").encode(), 2),
+    ("quoted", b'value,group\n"1.5","a"\n2,b\n" 2.5 ",a\n3,"b"\n', 2),
+    ("bom", ("\ufeff" + _rows(_spread(6))).encode(), None),
+    ("blank-lines", b"value,group\n1,a\n\n2,b\n   \n3,a\n4,b\n", 2),
+    ("trailing-blank-line", b"value,group\n1,a\n2,b\n3,a\n\n", 2),
+    ("header-spaces-and-case", b" Value , GROUP \n1,a\n2,b\n3,a\n", None),
+    ("label-spaces", b"value,group\n1, a\n2,b \n3,a\n4, b \n", None),
+    ("label-underscores", b"value,group\n1,_x_\n2,y_1\n3,_x_\n4,y_1\n", None),
+    ("non-ascii-labels", "value,group\n1,κοντρόλ\n2,処置\n3,κοντρόλ\n4,処置\n".encode(), None),
+    ("unicode-digits", "value,group\n١٢,a\n１２.５,b\n٣,a\n4,b\n".encode(), None),
+    ("odd-values", b"value,group\n+1e-300,a\n 2.5 ,b\n0,a\n-0,b\n4.9e-324,a\n1e50,b\n", None),
+    ("numeric-labels", b"value,group\n1.0,2\n5,3\n2.0,2\n6,3\n", None),
+    ("one-label", b"value,group\n1,a\n2,a\n3, a\n", None),
+    ("row-split-at-block-boundary", _rows(_past_block()).encode(), None),
+    ("empty-file", b"", None),
+    ("bad-header", b"amount,arm\n1,a\n2,b\n", None),
+    ("header-third-column", b"value,group,note\n1,a\n2,b\n", None),
+    ("header-only", b"value,group\n", None),
+    ("extra-column", b"value,group\n1,a\n2,b,junk\n3,a\n", 2),
+    ("missing-column", b"value,group\n1,a\n2\n3,b\n", 2),
+    ("misaligned-comma-numeric-labels", b"value,group\n5\n1.0,2,3\n", 2),
+    ("not-a-number", b"value,group\n1,a\nx,b\n", 2),
+    ("underscore-value", b"value,group\n1,a\n1_0,b\n", 2),
+    ("nan", b"value,group\n1,a\nnan,b\n", 2),
+    ("inf", b"value,group\n1,a\n-Infinity,b\n", 2),
+    ("overflowing-literal", b"value,group\n1,a\n1e400,b\n", 2),
+    ("empty-label", b"value,group\n1,a\n2,\n3,b\n", 2),
+    ("blank-label", b"value,group\n1,a\n2,  \n3,b\n", 2),
+    ("third-label", b"value,group\n1,a\n2,b\n3,c\n", 2),
+    ("third-label-after-first-block", _rows(_past_block() + [("7", "c")]).encode(), SECOND_BLOCK),
+    ("bad-value-after-first-block", _rows(_past_block() + [("x", "a")]).encode(), SECOND_BLOCK),
+    ("nul", b"value,group\n1,a\n2\x00,b\n3,b\n", 2),
+    ("overflowing-squares", b"value,group\n1e300,a\n-1e300,a\n2,b\n3,b\n", None),
+    ("undecodable", b"value,group\n1,a\n2,\xffb\n3,b\n", None),
+    ("field-over-csv-limit", b"value,group\n1,a\n2,b\n0." + b"0" * 131072 + b"1,a\n", 2),
+    ("header-over-csv-limit", b"value,group" + b"p" * 131072 + b"\n1,a\n2,b\n", None),
+    ("quoted-header", b'"value"," group"\n1,a\n2,b\n3,a\n', None),
+    ("header-spanning-two-lines", b'"value\n",group\n1,a\nx,b\n', 2),
+    ("blank-line-after-first-block", (_rows(_past_block()) + "\n" + _lines(_spread(8))).encode(), SECOND_BLOCK),
+    ("trailing-blank-line-after-first-block", (_rows(_past_block()) + "\n").encode(), SECOND_BLOCK),
+    ("crlf-after-first-block", (_rows(_past_block()) + _lines(_spread(8), "\r\n")).encode(), SECOND_BLOCK),
 ]
 
 
-@pytest.mark.parametrize("data, taken", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-def test_bulk_reader_matches_the_row_loop(tmp_path, data, taken):
+@pytest.mark.parametrize("data, first", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_bulk_reader_matches_the_row_loop(tmp_path, monkeypatch, data, first):
     path = tmp_path / "in.csv"
     path.write_bytes(data)
-    assert _outcome(reports.read_sample_csv, path) == _outcome(reports._read_rows, path)
-    assert (reports._read_blocks(path) is not None) == taken
+    assert _read_recording(monkeypatch, path) == (_outcome(read_rows_reference, path), first)
 
 
-def test_bulk_reader_matches_the_row_loop_on_seeded_files(tmp_path):
+def test_bulk_reader_matches_the_row_loop_on_seeded_files(tmp_path, monkeypatch):
     # small files mixing every feature the bulk reader must take or decline
     rng = random.Random(26)
     values = ["1", "-2.5", " 3 ", "+1e-300", "0", "١٢", "4e1", "1_0", "x", "nan", "", '"5"', "1e999"]
@@ -105,6 +144,24 @@ def test_bulk_reader_matches_the_row_loop_on_seeded_files(tmp_path):
         end = rng.choice(["\n"] * 8 + ["\r\n"])
         text = end.join(lines) + rng.choice([end, ""])
         path.write_bytes(text.encode())
-        assert _outcome(reports.read_sample_csv, path) == _outcome(reports._read_rows, path), text
-        taken += reports._read_blocks(path) is not None
+        outcome, first = _read_recording(monkeypatch, path)
+        assert outcome == _outcome(read_rows_reference, path), text
+        taken += first is None
     assert 50 < taken < 250  # both readers ran
+
+
+def test_bulk_reader_matches_the_row_loop_on_seeded_multi_block_files(tmp_path, monkeypatch):
+    # files of a few blocks with up to two features the bulk pass declines, anywhere in the file
+    rng = random.Random(27)
+    features = ["", "  ", '"1.5",a', "1,c", "x,a", "1_0,b", "1,a,b", "1\r", "1,\0a"]
+    path = tmp_path / "in.csv"
+    firsts = []
+    for _ in range(10):
+        lines = _lines(_past_block()).splitlines() + _lines(_spread(rng.randint(0, 3000))).splitlines()
+        for _ in range(rng.randint(0, 2)):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(features))
+        path.write_bytes(("value,group\n" + "\n".join(lines) + rng.choice(["\n", "", "\n\n"])).encode())
+        outcome, first = _read_recording(monkeypatch, path)
+        assert outcome == _outcome(read_rows_reference, path)
+        firsts.append(first)
+    assert None in firsts and 2 in firsts and max(f for f in firsts if f) > 2
