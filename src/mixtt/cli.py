@@ -9,10 +9,10 @@ with identical flags produces byte-identical output files.
 Exit status is 0 on success. Any rejected input, unreadable file, output
 that is a directory or in a missing directory (rejected before any chain
 runs), or run too large for memory (``--iters`` or ``--n`` whose arrays
-cannot be allocated; ``analyze`` and ``sensitivity`` find a too large
-``--iters`` before they read the input) exits 2 with
-``mixtt: error: <message>`` on stderr; argparse usage errors also exit 2.
-A traceback means a defect.
+cannot be allocated; every command finds a too large ``--iters`` before it
+reads or draws anything) exits 2 with ``mixtt: error: <message>`` on
+stderr; argparse usage errors also exit 2. Undecodable input text names its
+line and byte offset in the file. A traceback means a defect.
 """
 
 from __future__ import annotations
@@ -73,16 +73,6 @@ def _add_rope_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_prior_flags(p: argparse.ArgumentParser) -> None:
-    # None, not "wide", so that cmd_analyze can tell a given --prior from the default
-    p.add_argument("--prior", choices=PRESET_KINDS, default=None,
-                   help="data-scaled prior preset")
-    p.add_argument("--b0", type=float, default=None, help="custom prior mean of the group means")
-    p.add_argument("--B0", type=float, default=None, help="custom prior variance of the group means")
-    p.add_argument("--c0", type=float, default=None, help="custom inverse-gamma shape for the variances")
-    p.add_argument("--C0", type=float, default=None, help="custom inverse-gamma scale for the variances")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixtt",
@@ -100,7 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="collapse boundary-straddling decisions into rejections")
     _add_chain_flags(p_an)
     _add_rope_flag(p_an)
-    _add_prior_flags(p_an)
+    # None, not "wide", so that cmd_analyze can tell a given --prior from the default
+    p_an.add_argument("--prior", choices=PRESET_KINDS, default=None, help="data-scaled prior preset")
+    p_an.add_argument("--b0", type=float, default=None, help="custom prior mean of the group means")
+    p_an.add_argument("--B0", type=float, default=None, help="custom prior variance of the group means")
+    p_an.add_argument("--c0", type=float, default=None, help="custom inverse-gamma shape for the variances")
+    p_an.add_argument("--C0", type=float, default=None, help="custom inverse-gamma scale for the variances")
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study over a built-in scenario")
     p_sim.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
@@ -122,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_distinct_paths(*flags: tuple[str, str | None]) -> None:
-    """Reject two flags naming one file, or an output that is a directory or in a missing one; run first."""
+    """Reject two flags naming one file, or an output that is a directory or in a missing one."""
     seen: dict[Path, str] = {}
     for flag, value in flags:
         if value is None:
@@ -136,10 +131,7 @@ def _check_distinct_paths(*flags: tuple[str, str | None]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> None:
-    _check_distinct_paths(
-        ("--input", args.input), ("--output", args.output), ("--plot-data", args.plot_data))
-    kept = check_chain_length(args.iters, args.burnin)
-    if kept < 2:
+    if args.iters - args.burnin < 2:
         raise ValueError(f"the density estimate needs at least 2 kept sweeps; --iters {args.iters} "
                          f"with --burnin {args.burnin} keeps 1")
     custom = [value for value in (args.b0, args.B0, args.c0, args.C0) if value is not None]
@@ -149,7 +141,6 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         raise ValueError("a custom prior needs all four of --b0 --B0 --c0 --C0")
     prior = IndependencePrior(*custom) if custom else None
     preset = "custom" if custom else args.prior or "wide"
-    chain_block(kept)  # a chain too large for memory fails here, before the read; the block is dropped
     sample = read_sample_csv(args.input)
     if prior is None:
         prior = realize_preset(PriorPreset(preset), sample)
@@ -169,7 +160,6 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:
-    _check_distinct_paths(("--output", args.output))
     config = StudyConfig(
         scenario=Scenario.named(args.scenario),
         n_per_group=args.n,
@@ -185,21 +175,23 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> None:
-    _check_distinct_paths(("--input", args.input), ("--output", args.output))
-    kept = check_chain_length(args.iters, args.burnin)
     presets = check_presets(PriorPreset(name.strip()) for name in args.presets.split(",") if name.strip())
-    chain_block(kept)  # as in cmd_analyze
     sample = read_sample_csv(args.input)
     records = prior_sensitivity(sample, presets, args.seed, args.iters, args.burnin, args.alpha)
     write_json(sensitivity_dict(records, args.seed, sample.n1, sample.n2), args.output)
 
 
 _COMMANDS = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sensitivity": cmd_sensitivity}
+# the file flags and their argparse dests; a command without one of them reads it as None
+_PATH_FLAGS = (("--input", "input"), ("--output", "output"), ("--plot-data", "plot_data"))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the checks every command shares, before any command reads or draws
+        _check_distinct_paths(*((flag, getattr(args, dest, None)) for flag, dest in _PATH_FLAGS))
+        chain_block(check_chain_length(args.iters, args.burnin))  # a chain too large for memory fails here
         _COMMANDS[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"mixtt: error: {exc}", file=sys.stderr)

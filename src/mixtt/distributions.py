@@ -247,7 +247,14 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), accurate to about 1e-14."""
+    """Regularized incomplete beta I_x(a, b).
+
+    At Welch's arguments (a = df/2, b = 1/2, t from 1e-8 to 1e3) the worst
+    relative error against ``scipy.special.betainc`` is 1e-14 at df = 10,
+    3e-13 at df = 100, 8e-13 at 1e3, 1e-10 at 1e4, 6e-9 at 1e6 and 1e-7 at
+    1e8, near t = 1.7. It grows about like a ln(a) times the float epsilon,
+    most likely from the cancelling ``lgamma`` terms of ``ln_front``.
+    """
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"beta parameters must be > 0, got ({a}, {b})")
     if x <= 0.0:

@@ -9,7 +9,8 @@ lines are read in bulk until the first block that is not plain: one with a
 quoted field, a CR line end, a NUL, a blank or whitespace-only line, or a
 row that breaks a rule above. The rest of the file is read row by row
 through the csv module; a rejected row, or a csv-module error, names its
-line. Reports are JSON with sorted keys and floats in shortest round-trip
+line, and undecodable text names its line and byte offset in the file.
+Reports are JSON with sorted keys and floats in shortest round-trip
 notation, so identical runs produce byte-identical files.
 
 Three blocks recur below. A *summary* is ``delta_mpe`` (posterior mean of
@@ -117,7 +118,8 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
     ------
     ValueError
         On a malformed header, row, or value, or undecodable text; a rejected
-        row, or a csv-module error, names its line.
+        row, or a csv-module error, names its line, and undecodable text its
+        line and byte offset in the file.
     """
     groups: dict[str, list[np.ndarray]] = {}  # label -> its values in parts, in order of first appearance
     try:
@@ -138,7 +140,7 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
                     break
                 lineno += rows
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise _undecodable(path, exc) from None
     except csv.Error as exc:  # in the header: the csv loop names its own rows' lines
         raise ValueError(f"{path}: line 1: {exc}") from None
     if not groups:
@@ -147,6 +149,24 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
         return GroupedSample(*[*map(np.concatenate, groups.values()), []][:2])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _undecodable(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
+    """The error for the file's first undecodable byte, naming its line and its offset in the file.
+
+    ``exc``'s position counts from an internal read chunk, so the bytes are
+    decoded again, on this error path only. Plain ``utf-8`` accepts the BOM, so
+    its positions are the file's. Lines end at LF, CRLF or a lone CR.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as first:
+        head = raw[: first.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ValueError(f"{path}: line {line}: can't decode byte 0x{raw[first.start]:02x} "
+                          f"at file offset {first.start}: {first.reason}")
+    return ValueError(f"{path}: {exc}")  # the file changed since it was read
 
 
 def _take_block(block: str, groups: dict[str, list[np.ndarray]]) -> int:

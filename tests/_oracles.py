@@ -275,7 +275,7 @@ def read_rows_reference(path):
     The package reads plain blocks in bulk and hands the first other block,
     and the rest of the file, to its own row loop; every file must give the
     same groups, bit for bit, or the same error. A csv-module error names its
-    row's line, and undecodable text names the file.
+    row's line, and undecodable text its line and byte offset in the file.
     """
     groups = {}  # label -> values, labels in order of first appearance
     try:
@@ -315,11 +315,29 @@ def read_rows_reference(path):
                     groups.setdefault(label, []).append(value)
             except csv.Error as exc:
                 raise ValueError(f"{path}: line {lineno + 1}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _undecodable_line(path) from None
     if not groups:
         raise ValueError(f"{path}: no data rows")
     try:
         return GroupedSample(*[*groups.values(), []][:2])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _undecodable_line(path):
+    """The error for the file's first undecodable byte, found a line at a time.
+
+    A line keeps its end (LF, CRLF or a lone CR), and no line end is part of a
+    multibyte sequence, so each line decodes as it does inside the whole file.
+    """
+    offset = 0
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh.read().splitlines(keepends=True), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError(f"{path}: line {number}: can't decode byte 0x{line[exc.start]:02x} "
+                                  f"at file offset {offset + exc.start}: {exc.reason}")
+            offset += len(line)
+    raise AssertionError(f"{path} decodes")

@@ -85,10 +85,13 @@ def test_posterior_mode_normal_draws():
     assert posterior_mode(draws) == pytest.approx(2.0, abs=0.05)
 
 
-@pytest.mark.parametrize("m", [2, 15, 16, 17, 5_000, 20_000])
-def test_density_grid_matches_the_broadcast_reference_bit_for_bit(m):
+@pytest.mark.parametrize("draws", [
     # m draws: around the 16 rows of the package's block, a default chain's 5,000 kept sweeps, a long chain's
-    draws = np.random.default_rng(m).normal(0.4, 0.3, m)
+    *(pytest.param(np.random.default_rng(m).normal(0.4, 0.3, m), id=str(m)) for m in [2, 15, 16, 17, 5_000, 20_000]),
+    # coinciding quartiles and a positive sd: the bandwidth falls back from the IQR to the sd
+    pytest.param(np.array([0.0] * 10 + [1.0]), id="zero-iqr"),
+])
+def test_density_grid_matches_the_broadcast_reference_bit_for_bit(draws):
     grid, dens = density_grid(draws)
     ref_grid, ref_dens = density_grid_broadcast(draws)
     assert grid.tobytes() == ref_grid.tobytes()

@@ -581,11 +581,13 @@ def test_output_onto_input_rejected_before_any_read(data_csv, tmp_path, monkeypa
          "unknown preset kind 'bogus'; expected one of ('wide', 'medium', 'narrow')"),
         ("analyze", ["--prior", "narrow", "--b0", 1, "--B0", 4, "--c0", 0.5, "--C0", 0.5],
          "--prior cannot be combined with the custom prior flags --b0 --B0 --c0 --C0"),
+        # the chain length is checked before simulate's own sizes
+        ("simulate", ["--n", 1, "--iters", 0], "iterations must be >= 1, got 0"),
     ],
     ids=["analyze-no-sweeps", "analyze-one-kept-sweep", "sensitivity-burn-in-equals-iters",
          "simulate-no-sweeps", "analyze-partial-custom-prior", "analyze-negative-B0",
          "sensitivity-one-preset", "sensitivity-repeated-preset", "sensitivity-unknown-preset",
-         "analyze-preset-and-custom-prior"],
+         "analyze-preset-and-custom-prior", "simulate-no-sweeps-and-one-row-groups"],
 )
 def test_bad_chain_flags_are_rejected_before_any_input_is_read_or_drawn(data_csv, tmp_path, monkeypatch,
                                                                         capsys, command, flags, message):
@@ -604,20 +606,36 @@ def test_bad_chain_flags_are_rejected_before_any_input_is_read_or_drawn(data_csv
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+@pytest.mark.parametrize("command", ["analyze", "sensitivity", "simulate"])
 def test_chain_too_large_for_memory_is_rejected_before_any_input_is_read(data_csv, tmp_path, monkeypatch,
                                                                         capsys, command):
-    def no_read(*args, **kwargs):
-        raise AssertionError("the input was read")
+    # no file is read and no dataset is drawn
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input was read or drawn")
 
-    monkeypatch.setattr("mixtt.cli.read_sample_csv", no_read)
-    rc = run_cli(command, "--input", data_csv, "--output", tmp_path / "r.json", "--seed", 1,
+    for name in ("mixtt.cli.read_sample_csv", "mixtt.harness.generate_dataset"):
+        monkeypatch.setattr(name, no_input)
+    if command == "simulate":
+        source = ["--scenario", "small", "--n", 30, "--datasets", 3]
+    else:
+        source = ["--input", data_csv]
+    rc = run_cli(command, *source, "--output", tmp_path / "r.json", "--seed", 1,
                  "--iters", 100_000_000_000_000, "--burnin", 0)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("mixtt: error: Unable to allocate")
     assert err.rstrip().endswith("for an array with shape (4, 100000000000000) and data type float64")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, flags", [("analyze", ["--b0", 0]), ("sensitivity", ["--presets", "wide"])],
+                         ids=["analyze-partial-custom-prior", "sensitivity-one-preset"])
+def test_chain_too_large_for_memory_is_reported_before_the_commands_own_flags(data_csv, tmp_path, capsys,
+                                                                              command, flags):
+    rc = run_cli(command, "--input", data_csv, *flags, "--output", tmp_path / "r.json", "--seed", 1,
+                 "--iters", 100_000_000_000_000, "--burnin", 0)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("mixtt: error: Unable to allocate")
 
 
 @pytest.mark.parametrize(

@@ -239,6 +239,18 @@ def test_t_cdf_rejects_bad_df():
         t_cdf(1.0, 0.0)
 
 
+def test_incomplete_beta_converges_at_welch_arguments():
+    # df from 1 to 1e8 and t from 1e-10 to 1e160, where t * t overflows and x = 0
+    for k in range(33):
+        df = 10 ** (k / 4)
+        for j in range(-20, 321, 2):
+            t = 10 ** (j / 2)
+            p = regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
+            assert 0.0 <= p <= 1.0
+            if t * t == math.inf:
+                assert p == 0.0
+
+
 def test_incomplete_beta_matches_scipy():
     for a in (0.5, 1.0, 5.0, 12.505):
         for b in (0.5, 2.0, 7.3):
