@@ -1,5 +1,6 @@
-/* Compiled Gibbs chain for mixtt.gibbs.run_chain and normal draws for
- * mixtt.harness.generate_dataset.
+/* Compiled Gibbs chain for mixtt.gibbs.run_chain, normal draws for
+ * mixtt.harness.generate_dataset, and the block scan of
+ * mixtt.reports.read_sample_csv.
  *
  * run_chain() repeats, operation for operation, the Python sweep in
  * gibbs.py and the variates in distributions.py: xoshiro256++ words,
@@ -17,9 +18,20 @@
  * that is not finite, and the caller then reruns the chain in Python, which
  * reports the error or returns its own draws. It returns 0 once every kept
  * draw is written to the caller's one (4, kept) block.
+ *
+ * scan_block() parses a block of plain `value,label` lines in one pass, so
+ * no Python object is made per row. It takes only values of a strict ASCII
+ * grammar and reads them with strtod, which, like CPython's float() (David
+ * Gay's dtoa), rounds correctly: every value it takes becomes the double
+ * float() gives. It declines the whole block at anything else, such as
+ * whitespace, non-ASCII digits, inf, nan, '_', hex or an overflow, and where
+ * strtod does not consume exactly the value, as under a locale whose decimal
+ * point is not '.'; the caller then reads the block in Python.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define U53 0x1p-53
 #define ZIGGURAT_LAYERS 128
@@ -185,4 +197,86 @@ void normals(uint64_t state[4], double mean, double variance, int64_t n, double 
         out[i] = mean + sd * standard_normal(&rng);
     for (int k = 0; k < 4; k++)
         state[k] = rng.s[k];
+}
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* Is s[0..n) a number of the grammar [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? over the ASCII digits d? */
+static int plain_number(const char *s, int64_t n)
+{
+    int64_t i = 0, digits = 0;
+    if (i < n && (s[i] == '+' || s[i] == '-'))
+        i++;
+    for (; i < n && is_digit(s[i]); i++)
+        digits++;
+    if (i < n && s[i] == '.')
+        for (i++; i < n && is_digit(s[i]); i++)
+            digits++;
+    if (digits == 0)
+        return 0;
+    if (i < n && (s[i] == 'e' || s[i] == 'E')) {
+        if (++i < n && (s[i] == '+' || s[i] == '-'))
+            i++;
+        if (i == n || !is_digit(s[i]))
+            return 0;
+        while (i < n && is_digit(s[i]))
+            i++;
+    }
+    return i == n;
+}
+
+/* The lines of the UTF-8 block text[0..size), each ended by '\n' (the last
+ * may end at size instead), as `value,label` rows: value i goes to values[i]
+ * and the code of its raw label bytes, in order of first appearance, to
+ * codes[i]. labels, of 1 + 2 * max_labels slots (max_labels <= 256), receives
+ * the number of distinct raw labels in labels[0], and the start and end
+ * offsets of label k's first occurrence in labels[1 + 2k] and labels[2 + 2k]. Returns the row count, or -1 to decline the block: a line with
+ * other than one comma, longer than `limit` bytes, or with a value outside
+ * plain_number(), not wholly consumed by strtod (a locale whose decimal point
+ * is not '.') or not finite, or more than max_labels distinct raw labels.
+ * values and codes hold room for (size + 1) / 3 rows, as a row takes at least
+ * three bytes: a digit, its comma and its '\n'. text[size] must be a NUL,
+ * as it is in a Python bytes object, so that strtod stops there at the latest. */
+int64_t scan_block(const char *text, int64_t size, int64_t limit, int64_t max_labels,
+                   double *values, uint8_t *codes, int64_t *labels)
+{
+    const char *end = text + size, *line = text;
+    int64_t rows = 0, n_labels = 0;
+    while (line < end) {
+        const char *eol = memchr(line, '\n', (size_t)(end - line));
+        if (eol == NULL)
+            eol = end;
+        if (eol - line > limit)
+            return -1;
+        const char *comma = memchr(line, ',', (size_t)(eol - line));
+        if (comma == NULL || memchr(comma + 1, ',', (size_t)(eol - comma - 1)) != NULL
+                || !plain_number(line, comma - line))
+            return -1;
+        char *stop;
+        double v = strtod(line, &stop);
+        if (stop != comma || !isfinite(v))
+            return -1;
+        const char *label = comma + 1;
+        size_t length = (size_t)(eol - label);
+        int64_t k = 0;
+        while (k < n_labels && !((size_t)(labels[2 + 2 * k] - labels[1 + 2 * k]) == length
+                                 && memcmp(text + labels[1 + 2 * k], label, length) == 0))
+            k++;
+        if (k == n_labels) {
+            if (n_labels == max_labels)
+                return -1;
+            labels[1 + 2 * k] = label - text;
+            labels[2 + 2 * k] = eol - text;
+            n_labels++;
+        }
+        values[rows] = v;
+        codes[rows] = (uint8_t)k;
+        rows++;
+        line = eol + 1;
+    }
+    labels[0] = n_labels;
+    return rows;
 }

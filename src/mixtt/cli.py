@@ -10,9 +10,11 @@ Exit status is 0 on success. Any rejected input, unreadable file, output
 that is a directory or in a missing directory (rejected before any chain
 runs), or run too large for memory (``--iters`` or ``--n`` whose arrays
 cannot be allocated; every command finds a too large ``--iters`` before it
-reads or draws anything) exits 2 with ``mixtt: error: <message>`` on
-stderr; argparse usage errors also exit 2. Undecodable input text names its
-line and byte offset in the file. A traceback means a defect.
+reads or draws anything, and names ``--iters``, ``--burnin`` and the kept
+sweeps where numpy refuses the chain's block outright) exits 2 with
+``mixtt: error: <message>`` on stderr; argparse usage errors also exit 2.
+Undecodable input text names its line and byte offset in the file. A
+traceback means a defect.
 """
 
 from __future__ import annotations
@@ -191,7 +193,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # the checks every command shares, before any command reads or draws
         _check_distinct_paths(*((flag, getattr(args, dest, None)) for flag, dest in _PATH_FLAGS))
-        chain_block(check_chain_length(args.iters, args.burnin))  # a chain too large for memory fails here
+        kept = check_chain_length(args.iters, args.burnin)
+        try:
+            chain_block(kept)  # a chain too large for memory fails here
+        except ValueError:  # numpy's, for a block past any array size: "Maximum allowed dimension exceeded"
+            raise MemoryError(f"--iters {args.iters} with --burnin {args.burnin} keeps {kept} sweeps: "
+                              "a chain too large for memory") from None
         _COMMANDS[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"mixtt: error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ an O(1) expression, so a sweep costs the same at any sample size.
 :func:`run_chain` first tries the compiled kernel in ``_kernel.c``, which
 runs the whole chain in C with the same float expressions in the same
 order and so gives bit-identical draws. It is compiled with ``cc`` on the
-first chain or dataset of a process and cached in the package's
+first chain, dataset or input block of a process and cached in the package's
 ``__pycache__`` under a hash of its source and flags. Where no compiler or
 cache works, and wherever the kernel gives up (on the first sweep that
 draws a variance that is not finite and > 0 or a mean that is not finite,
@@ -29,10 +29,17 @@ The C twins of the generator and of both variates in
 the ziggurat tables of :mod:`mixtt.distributions`, which it does not
 compute itself. The same library also holds a
 twin of :func:`~mixtt.distributions.sample_normal` alone, through which
-:func:`_normals` draws each group of :func:`mixtt.harness.generate_dataset`.
-This module alone binds and calls the library; its one ``_kernel`` handle
-chooses the path for both, and tests select the Python path for chains and
-data alike by setting it to None.
+:func:`_normals` draws each group of :func:`mixtt.harness.generate_dataset`,
+and the bulk value parse of :func:`mixtt.reports.read_sample_csv`: through
+:func:`_scan_block`, one C pass over a plain block turns its lines into
+values and raw label codes without a Python object per row. The scan takes
+only values of a strict ASCII grammar, which glibc's ``strtod`` and
+CPython's ``float()`` both round correctly, so to the same double; it
+declines a block at any other value, or where ``strtod`` stops early, as
+under a locale whose decimal point is not ``.``, and the reader then splits
+the block in Python. This module alone binds and calls the library; its one
+``_kernel`` handle chooses the path for all three, and tests select the
+Python path for chains, data and reading alike by setting it to None.
 
 The chain state is a plain ``(mu1, mu2, sigma2_1, sigma2_2)`` tuple of
 floats; :func:`run_chain` and :func:`_normals` each allocate one array,
@@ -67,8 +74,10 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # Fixed flags: FMA contraction, -ffast-math or -march=native would change
 # the draws, so the kernel would no longer match the Python sweep.
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# the most distinct raw labels _scan_block takes in one block: two groups, written a few ways
+_SCAN_LABELS = 4
 _UNLOADED = object()
-# the compiled library, with run_chain and normals bound; None where it cannot be built or loaded
+# the compiled library, with run_chain, normals and scan_block bound; None where it cannot be built or loaded
 _kernel = _UNLOADED
 # the process-wide worker pool of map_chains, started on first use; _lock guards both lazy starts
 _pool = None
@@ -219,6 +228,9 @@ def _bind_kernel(path: Path):
     lib.run_chain.restype = ctypes.c_int
     lib.normals.argtypes = [u64_p, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
     lib.normals.restype = None
+    lib.scan_block.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                               ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
+    lib.scan_block.restype = ctypes.c_int64
     table = ctypes.c_double * len(ZIGGURAT_X)
     lib.set_ziggurat(table(*ZIGGURAT_X), table(*ZIGGURAT_F))
     return lib
@@ -301,6 +313,30 @@ def _normals(rng: RngState, mean: float, variance: float, n: int) -> np.ndarray:
     kernel.normals(words, mean, variance, n, out.ctypes.data)
     rng.set_state_words(words)
     return out
+
+
+def _scan_block(text: bytes, limit: int) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
+    """A plain block's values, its rows' raw label codes and its raw labels, scanned in C.
+
+    ``text`` is a block of ``value,label`` lines in UTF-8; the raw labels are
+    the label fields as written, unstripped, in order of first appearance, and
+    row i's label is ``labels[codes[i]]``. None where the kernel is absent or
+    declines the block: a line with other than one comma or over ``limit``
+    bytes, a value that is not a finite number of the grammar
+    ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` over ASCII digits, or more than
+    _SCAN_LABELS distinct raw labels. The values equal ``float()``'s bit for bit.
+    """
+    kernel = _loaded_kernel()
+    if kernel is None:
+        return None
+    room = (len(text) + 1) // 3  # a row takes at least three bytes: a digit, its comma and its newline
+    values, codes = np.empty(room), np.empty(room, np.uint8)
+    spans = (ctypes.c_int64 * (1 + 2 * _SCAN_LABELS))()
+    rows = kernel.scan_block(text, len(text), limit, _SCAN_LABELS, values.ctypes.data, codes.ctypes.data, spans)
+    if rows < 0:
+        return None
+    labels = [text[spans[1 + 2 * k]:spans[2 + 2 * k]].decode() for k in range(spans[0])]
+    return values[:rows], codes[:rows], labels
 
 
 def chain_block(kept: int) -> np.ndarray:

@@ -7,9 +7,15 @@ only on each group's values in file order and on which label comes first,
 not on how the two groups' rows are interleaved. Plain blocks of whole
 lines are read in bulk until the first block that is not plain: one with a
 quoted field, a CR line end, a NUL, a blank or whitespace-only line, or a
-row that breaks a rule above. The rest of the file is read row by row
-through the csv module; a rejected row, or a csv-module error, names its
-line, and undecodable text names its line and byte offset in the file.
+row that breaks a rule above. The compiled kernel parses a plain block in
+one C pass (:func:`mixtt.gibbs._scan_block`): it takes only values of a
+strict ASCII grammar, which its ``strtod`` and ``float()`` both round
+correctly, and declines anything else, such as whitespace, ``inf`` or a
+locale's other decimal point, so that numpy and ``float()`` split that block
+instead, as they split every block without the kernel; the groups are the
+same either way. The rest of the file is read row by row through the csv
+module; a rejected row, or a csv-module error, names its line, and
+undecodable text names its line and byte offset in the file.
 Reports are JSON with sorted keys and floats in shortest round-trip
 notation, so identical runs produce byte-identical files.
 
@@ -96,7 +102,7 @@ from .analysis import (
     density_grid,
     hpd_decision,
 )
-from .gibbs import ChainConfig, PosteriorChain
+from .gibbs import ChainConfig, PosteriorChain, _scan_block
 from .harness import DIRECTION, DatasetRecord, PresetSummary, StudyConfig
 from .model import GroupedSample, IndependencePrior
 from .welch import WelchResult
@@ -175,47 +181,66 @@ def _take_block(block: str, groups: dict[str, list[np.ndarray]]) -> int:
     A block is plain where the csv loop would read every line as the plain
     ``value,label`` pair it is: no quote, CR or NUL, exactly one comma, no
     line over the csv module's field size limit. Its values must pass the
-    ``_`` and finite rules, and ``np.array(..., dtype=float)`` parses them as
-    ``float()`` does; its labels must strip to non-blank ones, at most two
-    with those already in ``groups``. Anything else, a blank line included,
-    is left to the csv loop, so it alone words every error.
+    ``_`` and finite rules and parse as ``float()`` parses them; its labels
+    must strip to non-blank ones, at most two with those already in
+    ``groups``. Anything else, a blank line included, is left to the csv loop,
+    so it alone words every error. The kernel's scan reads the block where it
+    can (:func:`~mixtt.gibbs._scan_block`), and :func:`_split_block` where
+    the kernel is absent or declines it; both give the same values and labels.
     """
     if '"' in block or "\r" in block or "\0" in block:
         return 0
+    text = block.encode()
+    limit = csv.field_size_limit()
+    split = _scan_block(text, limit) or _split_block(block, text, limit)
+    if split is None:
+        return 0
+    values, codes, labels = split
+    index = {label: group for group, label in enumerate(groups)}  # stripped label -> group
+    lookup = np.empty(len(labels), np.intp)  # raw label code -> group
+    for code, label in enumerate(labels):
+        stripped = label.strip()
+        if not stripped:
+            return 0
+        lookup[code] = index.setdefault(stripped, len(index))
+    if len(index) > 2:
+        return 0
+    first = lookup[codes] == 0
+    for label, part in zip(index, (values[first], values[~first])):
+        groups.setdefault(label, []).append(part)
+    return values.size
+
+
+def _split_block(block: str, text: bytes, limit: int) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
+    """:func:`~mixtt.gibbs._scan_block`'s result for ``block``, whose UTF-8 is ``text``, from numpy and ``float()``.
+
+    It takes every value ``float()`` reads as a finite number without ``_``,
+    and any number of raw labels; None where a line holds other than one
+    comma, is over ``limit`` bytes or has another value.
+    """
     body = block.removesuffix("\n")
     # ',' and '\n' are single bytes in UTF-8 and occur in no other character's encoding
-    raw = np.frombuffer(body.encode(), np.uint8)
+    raw = np.frombuffer(text.removesuffix(b"\n"), np.uint8)
     newlines = np.flatnonzero(raw == ord("\n"))
     starts, ends = np.append(0, newlines + 1), np.append(newlines, raw.size)
     commas = np.flatnonzero(raw == ord(","))
     # n commas for n lines, comma i inside line i: every line holds exactly one. A line's
     # length in bytes bounds its fields' lengths in characters
     if (commas.size != starts.size or (commas < starts).any() or (commas >= ends).any()
-            or (ends - starts).max() > csv.field_size_limit()):
-        return 0
+            or (ends - starts).max() > limit):
+        return None
     fields = body.replace("\n", ",").split(",")
     values, labels = fields[0::2], fields[1::2]
     if "_" in block and "_" in "".join(values):  # float() would read 1_0 as 10
-        return 0
+        return None
     try:
         v = np.array(values, dtype=float)
     except ValueError:  # a value float() rejects
-        return 0
+        return None
     if not np.isfinite(v).all():
-        return 0
-    index = {label: group for group, label in enumerate(groups)}  # stripped label -> group
-    codes = {}  # raw label -> group
-    for label in dict.fromkeys(labels):
-        stripped = label.strip()
-        if not stripped:
-            return 0
-        codes[label] = index.setdefault(stripped, len(index))
-    if len(index) > 2:
-        return 0
-    first = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels)) == 0
-    for label, part in zip(index, (v[first], v[~first])):
-        groups.setdefault(label, []).append(part)
-    return v.size
+        return None
+    codes = {label: code for code, label in enumerate(dict.fromkeys(labels))}  # raw label -> code
+    return v, np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels)), [*codes]
 
 
 def _read_rows(path: str | Path, lines, lineno: int, groups: dict[str, list[np.ndarray]]) -> None:
@@ -419,14 +444,13 @@ def write_plot_data(deltas: np.ndarray, hpd: HpdInterval, path: str | Path) -> N
 
 
 def write_plot_rows(grid: np.ndarray, dens: np.ndarray, hpd: HpdInterval, path: str | Path) -> None:
-    """Write density rows for ``grid`` and ``dens``, then the annotation rows, as ``kind,x,y`` CSV."""
+    """Write density rows for ``grid`` and ``dens``, then the annotation rows, as ``kind,x,y`` CSV.
+
+    The rows are joined in one write, in the bytes ``csv.writer`` gives them:
+    CRLF line ends, and no field needs quoting.
+    """
+    rows = ["kind,x,y", *(f"density,{x!r},{y!r}" for x, y in zip(grid.tolist(), dens.tolist())),
+            f"hpd_lower,{hpd.lower!r},", f"hpd_upper,{hpd.upper!r},",
+            *(f"rope_boundary,{lo!r}," for _, lo, _ in cohen_partition() if math.isfinite(lo))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "x", "y"])
-        for x, y in zip(grid, dens):
-            writer.writerow(["density", repr(float(x)), repr(float(y))])
-        writer.writerow(["hpd_lower", repr(hpd.lower), ""])
-        writer.writerow(["hpd_upper", repr(hpd.upper), ""])
-        for _, lo, _ in cohen_partition():
-            if math.isfinite(lo):
-                writer.writerow(["rope_boundary", repr(lo), ""])
+        fh.write("\r\n".join(rows) + "\r\n")

@@ -4,8 +4,9 @@ These deliberately compute the same quantities as the package by different
 routes: brute-force enumeration for HPD intervals, 2-D quadrature for the
 per-group posterior, iid draws from the exact posterior (a 1-D grid in
 log v with the mean integrated out) for effect-size summaries, batch
-means for Monte Carlo standard errors, and one csv-module loop over a
-whole file for the CSV reader. They must stay independent of the
+means for Monte Carlo standard errors, one csv-module loop over a
+whole file for the CSV reader, and a ``csv.writer`` row loop for the plot
+CSV. They must stay independent of the
 implementation they check.
 """
 
@@ -17,6 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
+from mixtt.analysis import cohen_partition
 from mixtt.model import GroupedSample
 
 
@@ -267,6 +269,20 @@ def density_grid_broadcast(draws):
     h = 0.9 * spread * draws.size ** (-0.2)
     dens = np.exp(-0.5 * ((grid[:, None] - draws[None, :]) / h) ** 2).sum(axis=1)
     return grid, dens * (1.0 / (draws.size * h * math.sqrt(2.0 * math.pi)))
+
+
+def write_plot_rows_reference(grid, dens, hpd, path):
+    """``reports.write_plot_rows`` as one ``csv.writer`` row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kind", "x", "y"])
+        for x, y in zip(grid, dens):
+            writer.writerow(["density", repr(float(x)), repr(float(y))])
+        writer.writerow(["hpd_lower", repr(hpd.lower), ""])
+        writer.writerow(["hpd_upper", repr(hpd.upper), ""])
+        for _, lo, _ in cohen_partition():
+            if math.isfinite(lo):
+                writer.writerow(["rope_boundary", repr(lo), ""])
 
 
 def read_rows_reference(path):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from _oracles import write_plot_rows_reference
 
 from mixtt import cli, gibbs, harness
 from mixtt.analysis import HpdInterval, cohen_partition, density_grid, summarize
@@ -10,7 +11,7 @@ from mixtt.cli import main
 from mixtt.distributions import RngState, sample_normal
 from mixtt.gibbs import PosteriorChain
 from mixtt.model import GroupedSample, compute_sufficient_stats
-from mixtt.reports import read_sample_csv, write_json, write_plot_data
+from mixtt.reports import read_sample_csv, write_json, write_plot_data, write_plot_rows
 
 
 @pytest.fixture
@@ -81,6 +82,17 @@ def test_analyze_plot_data_structure(data_csv, tmp_path):
     assert hpd_lower == report["analysis"]["hpd"]["lower"]
     boundaries = sorted(float(r[1]) for r in rows if r[0] == "rope_boundary")
     assert boundaries == [-0.8, -0.5, -0.2, 0.2, 0.5, 0.8]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100, -3.0])
+def test_plot_rows_are_the_csv_writers_bytes(tmp_path, scale):
+    rng = RngState(5)
+    draws = np.array([sample_normal(rng, 0.0, 1.0) for _ in range(200)]) * scale
+    grid, dens = density_grid(draws)
+    hpd = HpdInterval(0.95, float(draws.min()), -0.0)
+    write_plot_rows(grid, dens, hpd, tmp_path / "plot.csv")
+    write_plot_rows_reference(grid, dens, hpd, tmp_path / "reference.csv")
+    assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_analyze_plot_data_evaluates_the_density_once(data_csv, tmp_path, monkeypatch):
@@ -625,6 +637,18 @@ def test_chain_too_large_for_memory_is_rejected_before_any_input_is_read(data_cs
     err = capsys.readouterr().err
     assert err.startswith("mixtt: error: Unable to allocate")
     assert err.rstrip().endswith("for an array with shape (4, 100000000000000) and data type float64")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("iters", [2**62, 10**19, 10**30])
+@pytest.mark.parametrize("command", ["analyze", "sensitivity", "simulate"])
+def test_chain_past_any_array_size_names_its_flags(data_csv, tmp_path, capsys, command, iters):
+    # numpy refuses such a block with a ValueError of its own, before it tries to allocate
+    source = ["--scenario", "small", "--n", 30, "--datasets", 3] if command == "simulate" else ["--input", data_csv]
+    rc = run_cli(command, *source, "--output", tmp_path / "r.json", "--seed", 1, "--iters", iters, "--burnin", 1)
+    assert rc == 2
+    assert capsys.readouterr().err == (f"mixtt: error: --iters {iters} with --burnin 1 keeps {iters - 1} sweeps: "
+                                       "a chain too large for memory\n")
     assert not (tmp_path / "r.json").exists()
 
 

@@ -2,17 +2,23 @@
 
 ``read_sample_csv`` opens a file once, reads plain blocks of whole lines in
 bulk and hands the first other block, and the rest of the file, to
-``_read_rows``, the csv-module loop. Every input must give the same groups,
-bit for bit, or the same error as ``read_rows_reference``, wherever the
-loop takes over.
+``_read_rows``, the csv-module loop. A plain block is read by the kernel's
+scan (``gibbs._scan_block``), or by numpy and ``float()`` where the kernel is
+absent (``gibbs._kernel = None``) or declines it. Every input must give the
+same groups, bit for bit, or the same error as ``read_rows_reference`` on
+both paths, and the csv loop must take over at the same line.
 """
 
+import csv
+import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from _oracles import read_rows_reference
 
-from mixtt import reports
+from mixtt import gibbs, reports
 
 
 def _outcome(read, path):
@@ -25,19 +31,28 @@ def _outcome(read, path):
 
 
 def _read_recording(monkeypatch, path):
-    """:func:`_outcome` of ``read_sample_csv``, and the first line the csv loop read, or None."""
-    firsts = []
-    read_rows = reports._read_rows
+    """:func:`_outcome` of ``read_sample_csv``, and the first line the csv loop read, or None.
 
-    def recording(path, lines, lineno, groups):
-        firsts.append(lineno)
-        return read_rows(path, lines, lineno, groups)
+    The file is read on the kernel path and on the Python path, which must agree.
+    """
+    assert gibbs._loaded_kernel() is not None
+    results = []
+    for kernel in (gibbs._kernel, None):
+        firsts = []
+        read_rows = reports._read_rows
 
-    monkeypatch.setattr(reports, "_read_rows", recording)
-    outcome = _outcome(reports.read_sample_csv, path)
-    monkeypatch.undo()
-    assert len(firsts) <= 1
-    return outcome, (firsts or [None])[0]
+        def recording(path, lines, lineno, groups):
+            firsts.append(lineno)
+            return read_rows(path, lines, lineno, groups)
+
+        with monkeypatch.context() as m:
+            m.setattr(reports, "_read_rows", recording)
+            m.setattr(gibbs, "_kernel", kernel)
+            outcome = _outcome(reports.read_sample_csv, path)
+        assert len(firsts) <= 1
+        results.append((outcome, (firsts or [None])[0]))
+    assert results[0] == results[1]
+    return results[0]
 
 
 def _lines(rows, end="\n"):
@@ -194,3 +209,116 @@ def test_undecodable_text_names_its_line_and_file_offset(tmp_path, monkeypatch, 
     path.write_bytes(data)
     assert _read_recording(monkeypatch, path) == ((ValueError, f"{path}: {message}"), first)
     assert _outcome(read_rows_reference, path) == (ValueError, f"{path}: {message}")
+
+
+def _scan(strings, labels=("a",)):
+    """``gibbs._scan_block`` of one line per string, labelled in turn from ``labels``."""
+    text = "".join(f"{s},{labels[i % len(labels)]}\n" for i, s in enumerate(strings)).encode()
+    return gibbs._scan_block(text, csv.field_size_limit())
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+HARD_NUMBERS = [
+    "9007199254740993",  # 2^53 + 1, halfway between two doubles
+    "9007199254740993." + "0" * 780 + "1",  # just past that halfway point
+    "2.2250738585072011e-308",  # just below the smallest normal
+    "4.9406564584124654e-324", "2.4703282292062328e-324",  # the smallest subnormal, and just past half of it
+    "1.7976931348623157e308", "1.7976931348623158e308",  # both round to the largest double
+    "1e-400", "-1e-400",  # ±0.0
+    "+.5", "5.", "-0", "007", "1E+05", "0e0", ".0e-0",
+    "0." + "1234567890" * 80,  # 800 digits
+    "9" * 800 + "e-800",
+]
+
+
+def test_the_kernel_scan_reads_hard_numbers_as_float_does():
+    values, codes, labels = _scan(HARD_NUMBERS, ["a", " b", "a"])
+    assert _bits(values) == _bits([float(s) for s in HARD_NUMBERS])
+    assert math.copysign(1.0, values[HARD_NUMBERS.index("-1e-400")]) == -1.0
+    assert codes.tolist() == [[0, 1, 0][i % 3] for i in range(len(HARD_NUMBERS))]
+    assert labels == ["a", " b"]
+
+
+def _fuzzed_numbers(rng, count):
+    """Decimal strings of every shape the scan takes: reprs, %e and %f forms, and digit runs with exponents."""
+    def digits(lo, hi):
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(lo, hi)))
+
+    strings = []
+    while len(strings) < count:
+        x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        kind = rng.randrange(4)
+        if kind < 3 and not math.isfinite(x):
+            continue
+        if kind == 0:
+            strings.append(repr(x))
+        elif kind == 1:
+            strings.append(f"%.{rng.randint(0, 25)}e" % x)
+        elif kind == 2:
+            strings.append(f"%.{rng.randint(0, 25)}f" % math.ldexp(math.frexp(x)[0], rng.randint(-80, 70)))
+        else:
+            mantissa = rng.choice([digits(1, 30), digits(1, 20) + "." + digits(0, 20), "." + digits(1, 30)])
+            exponent = rng.choice(["", f"{rng.choice('eE')}{rng.choice(['', '+', '-'])}{rng.randint(0, 400)}"])
+            strings.append(rng.choice(["", "+", "-"]) + mantissa + exponent)
+    return strings
+
+
+def test_the_kernel_scan_reads_fuzzed_numbers_as_float_does():
+    strings = _fuzzed_numbers(random.Random(29), 20_000)
+    finite = [s for s in strings if math.isfinite(float(s))]
+    overflowing = [s for s in strings if not math.isfinite(float(s))]
+    assert 0 < len(overflowing) < 1_000  # digit runs with large exponents
+    values, codes, labels = _scan(finite)
+    assert _bits(values) == _bits([float(s) for s in finite])
+    assert codes.tolist() == [0] * len(finite) and labels == ["a"]
+    for s in overflowing:
+        assert _scan([s]) is None, s
+
+
+DECLINED = [
+    " 2.5", "2.5 ", "١٢", "inf", "nan", "0x1p3", "1_0", "1e", ".", "1.7976931348623159e308",
+    "1,5", "", "+", "-.e1", "1e+", "1.5e3.2", "0.0" + "0" * 131_072 + "1",
+]
+
+
+@pytest.mark.parametrize("value", DECLINED, ids=range(len(DECLINED)))
+def test_the_kernel_scan_declines_other_values_and_the_file_reads_as_before(tmp_path, monkeypatch, value):
+    assert _scan(["1", value, "2"]) is None
+    path = tmp_path / "in.csv"
+    path.write_bytes(f"value,group\n1,a\n{value},b\n2,a\n3,b\n".encode())
+    assert _read_recording(monkeypatch, path)[0] == _outcome(read_rows_reference, path)
+
+
+@pytest.mark.parametrize("rows", [
+    [("1", "a"), ("2", " a"), ("3", "a "), ("4", " a "), ("5", "b")],  # five raw labels, two groups
+    [("0." + "1" * 70_000, "b" * 70_000), ("2", "a")],  # a line over the field size limit, no field over it
+], ids=["more-raw-labels-than-the-scan-holds", "line-over-the-field-size-limit"])
+def test_the_kernel_scan_declines_other_blocks_and_the_file_reads_as_before(tmp_path, monkeypatch, rows):
+    assert _scan([v for v, _ in rows], [g for _, g in rows]) is None
+    path = tmp_path / "in.csv"
+    path.write_bytes(_rows(rows * 2).encode())
+    outcome, first = _read_recording(monkeypatch, path)
+    assert outcome == _outcome(read_rows_reference, path)
+    assert outcome[0] is np.dtype(float)  # the split or the csv loop reads it
+
+
+def test_plain_blocks_are_split_only_without_the_kernel(tmp_path, monkeypatch):
+    path = tmp_path / "in.csv"
+    path.write_bytes(_rows(_past_block() * 3).encode())
+    splits = []
+    split_block = reports._split_block
+
+    def recording(*args):
+        splits.append(args)
+        return split_block(*args)
+
+    monkeypatch.setattr(reports, "_split_block", recording)
+    kernel = reports.read_sample_csv(path)
+    assert splits == []
+    monkeypatch.setattr(gibbs, "_kernel", None)
+    python = reports.read_sample_csv(path)
+    assert len(splits) > 3  # one per block
+    assert kernel.group1.tobytes() == python.group1.tobytes() and kernel.group2.tobytes() == python.group2.tobytes()
