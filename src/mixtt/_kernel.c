@@ -21,12 +21,18 @@
  *
  * scan_block() parses a block of plain `value,label` lines in one pass, so
  * no Python object is made per row. It takes only values of a strict ASCII
- * grammar and reads them with strtod, which, like CPython's float() (David
- * Gay's dtoa), rounds correctly: every value it takes becomes the double
- * float() gives. It declines the whole block at anything else, such as
- * whitespace, non-ASCII digits, inf, nan, '_', hex or an overflow, and where
- * strtod does not consume exactly the value, as under a locale whose decimal
- * point is not '.'; the caller then reads the block in Python.
+ * grammar. read_number() checks that grammar and, in the same walk over the
+ * value, converts one of up to 19 significant digits with a decimal exponent
+ * in [-342, 308] by Eisel-Lemire; any other value goes to strtod. Both
+ * round correctly, as CPython's float() (David Gay's dtoa) does, so every
+ * value taken becomes the double float() gives. The Eisel-Lemire table, the
+ * 128-bit powers of five, is not computed here either: set_powers_of_five()
+ * copies it in when gibbs loads the library. The scan declines the whole
+ * block at anything else, such as whitespace, non-ASCII digits, inf, nan,
+ * '_', hex or an overflow, and where strtod does not consume exactly the
+ * value, as under a locale whose decimal point is not '.' (the Eisel-Lemire
+ * path, like float(), reads '.' under any locale); the caller then reads the
+ * block in Python.
  */
 #include <math.h>
 #include <stdint.h>
@@ -35,6 +41,12 @@
 
 #define U53 0x1p-53
 #define ZIGGURAT_LAYERS 128
+
+/* 5^q for q in [POW5_MIN, POW5_MAX], each as its 128 leading bits (truncated;
+ * for q < 0, of 1 + the truncated reciprocal), high word first, from set_powers_of_five() */
+#define POW5_MIN (-342)
+#define POW5_MAX 308
+static uint64_t pow5[2 * (POW5_MAX - POW5_MIN + 1)];
 
 /* layer edges x[0..128] and heights f[k] = exp(-x[k]^2 / 2), from set_ziggurat();
  * the tail starts at x[1] */
@@ -70,6 +82,11 @@ void set_ziggurat(const double x[ZIGGURAT_LAYERS + 1], const double f[ZIGGURAT_L
         zig_x[k] = x[k];
         zig_f[k] = f[k];
     }
+}
+
+void set_powers_of_five(const uint64_t table[2 * (POW5_MAX - POW5_MIN + 1)])
+{
+    memcpy(pow5, table, sizeof pow5);
 }
 
 static double normal_tail(rng_t *r)
@@ -204,28 +221,127 @@ static int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-/* Is s[0..n) a number of the grammar [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? over the ASCII digits d? */
-static int plain_number(const char *s, int64_t n)
+/* The leading zero bits of 0 < w < 10^19: 63 less the binary exponent of
+ * (double)w, which is one too high where the conversion rounds w up to the
+ * next power of two. */
+static int leading_zeros(uint64_t w)
 {
-    int64_t i = 0, digits = 0;
-    if (i < n && (s[i] == '+' || s[i] == '-'))
-        i++;
-    for (; i < n && is_digit(s[i]); i++)
-        digits++;
-    if (i < n && s[i] == '.')
-        for (i++; i < n && is_digit(s[i]); i++)
-            digits++;
-    if (digits == 0)
-        return 0;
-    if (i < n && (s[i] == 'e' || s[i] == 'E')) {
-        if (++i < n && (s[i] == '+' || s[i] == '-'))
-            i++;
-        if (i == n || !is_digit(s[i]))
-            return 0;
-        while (i < n && is_digit(s[i]))
-            i++;
+    double d = (double)w;
+    uint64_t bits;
+    memcpy(&bits, &d, sizeof bits);
+    int top = (int)(bits >> 52) - 1023;
+    return 63 - top + (w >> top == 0);
+}
+
+/* The high and low words of a * b, from 32-bit halves:
+ * a * b = a1 b1 2^64 + (a1 b0 + a0 b1) 2^32 + a0 b0 */
+static uint64_t multiply_64(uint64_t a, uint64_t b, uint64_t *low)
+{
+    uint64_t a0 = a & 0xFFFFFFFF, a1 = a >> 32, b0 = b & 0xFFFFFFFF, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p10 = a1 * b0;
+    uint64_t middle = (p00 >> 32) + (p10 & 0xFFFFFFFF) + a0 * b1; /* at most 2^64 - 1 */
+    *low = (middle << 32) | (p00 & 0xFFFFFFFF);
+    return a1 * b1 + (p10 >> 32) + (middle >> 32);
+}
+
+/* The double nearest w * 10^q, ties to even, for 0 < w < 10^19 and q in
+ * [POW5_MIN, POW5_MAX], by Eisel-Lemire (Lemire 2021, "Number parsing at a
+ * gigabyte per second"), with the second product of Mushtak and Lemire 2023
+ * ("Fast number parsing without fallback"), which makes it exact for every
+ * such w and q. Returns 0 where that double would overflow. */
+static int eisel_lemire(uint64_t w, int64_t q, int negative, double *out)
+{
+    int zeros = leading_zeros(w);
+    w <<= zeros;
+    const uint64_t *power = pow5 + 2 * (q - POW5_MIN);
+    uint64_t low, high = multiply_64(w, power[0], &low);
+    if ((high & 0x1FF) == 0x1FF) { /* the truncation may carry into the 55 bits kept: add the second product */
+        uint64_t unused, carry = multiply_64(w, power[1], &unused);
+        low += carry;
+        high += low < carry;
     }
-    return i == n;
+    int top = (int)(high >> 63);
+    int shift = top + 9;
+    uint64_t mantissa = high >> shift;
+    /* floor(q * log2(10)) + 63, with C99's truncating division floored */
+    int64_t exponent = (217706 * q - (q < 0 ? 65535 : 0)) / 65536 + 63 + top - zeros + 1023;
+    if (exponent <= 0) { /* subnormal, or zero */
+        if (1 - exponent >= 64) {
+            mantissa = 0;
+        } else {
+            mantissa >>= 1 - exponent;
+            mantissa = (mantissa + (mantissa & 1)) >> 1;
+        }
+        exponent = mantissa >= (UINT64_C(1) << 52); /* rounded up to the smallest normal */
+    } else {
+        /* exactly halfway between two doubles: possible only for q in [-4, 23]; round to even */
+        if (low <= 1 && q >= -4 && q <= 23 && (mantissa & 3) == 1 && (mantissa << shift) == high)
+            mantissa &= ~UINT64_C(1);
+        mantissa = (mantissa + (mantissa & 1)) >> 1;
+        if (mantissa >= (UINT64_C(2) << 52)) {
+            mantissa = UINT64_C(1) << 52;
+            exponent++;
+        }
+        if (exponent >= 0x7FF)
+            return 0;
+    }
+    uint64_t bits = (mantissa & ((UINT64_C(1) << 52) - 1)) | (uint64_t)exponent << 52
+                    | (uint64_t)negative << 63;
+    memcpy(out, &bits, sizeof bits);
+    return 1;
+}
+
+enum { NUMBER_DECLINED = -1, NUMBER_READ = 0, NUMBER_FOR_STRTOD = 1 };
+
+/* Far past any double. read_number() stops adding exponent digits here, so the
+ * exponent cannot overflow, and leaves a value whose exponent reaches it to
+ * strtod, since a long fraction could bring its capped q back into range. */
+#define EXPONENT_CAP 100000
+
+/* Reads s[0..n), a number of the grammar [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? over
+ * the ASCII digits d, in one pass. Returns NUMBER_READ with its double in *out
+ * where at most 19 significant digits and a decimal exponent in [POW5_MIN,
+ * POW5_MAX] let eisel_lemire() take it, NUMBER_FOR_STRTOD for any other value
+ * of the grammar (more digits, an exponent out of range or at EXPONENT_CAP,
+ * or an overflow), and NUMBER_DECLINED for anything else. */
+static int read_number(const char *s, int64_t n, double *out)
+{
+    int64_t i = 0, digits = 0, significant = 0, q = 0, e = 0;
+    uint64_t w = 0; /* wraps past 19 significant digits, which go to strtod */
+    int negative = 0;
+    if (i < n && (s[i] == '+' || s[i] == '-'))
+        negative = s[i++] == '-';
+    for (; i < n && is_digit(s[i]); i++, digits++) {
+        w = 10 * w + (uint64_t)(s[i] - '0');
+        significant += significant > 0 || s[i] != '0';
+    }
+    if (i < n && s[i] == '.')
+        for (i++; i < n && is_digit(s[i]); i++, digits++, q--) {
+            w = 10 * w + (uint64_t)(s[i] - '0');
+            significant += significant > 0 || s[i] != '0';
+        }
+    if (digits == 0)
+        return NUMBER_DECLINED;
+    if (i < n && (s[i] == 'e' || s[i] == 'E')) {
+        int e_negative = 0;
+        if (++i < n && (s[i] == '+' || s[i] == '-'))
+            e_negative = s[i++] == '-';
+        if (i == n || !is_digit(s[i]))
+            return NUMBER_DECLINED;
+        for (; i < n && is_digit(s[i]); i++)
+            if (e < EXPONENT_CAP)
+                e = 10 * e + (s[i] - '0');
+        q += e_negative ? -e : e;
+    }
+    if (i != n)
+        return NUMBER_DECLINED;
+    if (significant == 0) {
+        *out = negative ? -0.0 : 0.0;
+        return NUMBER_READ;
+    }
+    if (significant > 19 || e >= EXPONENT_CAP || q < POW5_MIN || q > POW5_MAX || !eisel_lemire(w, q, negative, out))
+        return NUMBER_FOR_STRTOD;
+    return NUMBER_READ;
 }
 
 /* The lines of the UTF-8 block text[0..size), each ended by '\n' (the last
@@ -233,10 +349,12 @@ static int plain_number(const char *s, int64_t n)
  * and the code of its raw label bytes, in order of first appearance, to
  * codes[i]. labels, of 1 + 2 * max_labels slots (max_labels <= 256), receives
  * the number of distinct raw labels in labels[0], and the start and end
- * offsets of label k's first occurrence in labels[1 + 2k] and labels[2 + 2k]. Returns the row count, or -1 to decline the block: a line with
- * other than one comma, longer than `limit` bytes, or with a value outside
- * plain_number(), not wholly consumed by strtod (a locale whose decimal point
- * is not '.') or not finite, or more than max_labels distinct raw labels.
+ * offsets of label k's first occurrence in labels[1 + 2k] and labels[2 + 2k].
+ * Returns the row count, or -1 to decline the block: a line with other than
+ * one comma, longer than `limit` bytes, or with a value outside read_number()'s
+ * grammar, not wholly consumed by strtod where read_number() leaves it to
+ * strtod (a locale whose decimal point is not '.'), or not finite; or more
+ * than max_labels distinct raw labels.
  * values and codes hold room for (size + 1) / 3 rows, as a row takes at least
  * three bytes: a digit, its comma and its '\n'. text[size] must be a NUL,
  * as it is in a Python bytes object, so that strtod stops there at the latest. */
@@ -252,12 +370,19 @@ int64_t scan_block(const char *text, int64_t size, int64_t limit, int64_t max_la
         if (eol - line > limit)
             return -1;
         const char *comma = memchr(line, ',', (size_t)(eol - line));
-        if (comma == NULL || memchr(comma + 1, ',', (size_t)(eol - comma - 1)) != NULL
-                || !plain_number(line, comma - line))
+        if (comma == NULL || memchr(comma + 1, ',', (size_t)(eol - comma - 1)) != NULL)
             return -1;
-        char *stop;
-        double v = strtod(line, &stop);
-        if (stop != comma || !isfinite(v))
+        double v;
+        int read = read_number(line, comma - line, &v);
+        if (read == NUMBER_DECLINED)
+            return -1;
+        if (read == NUMBER_FOR_STRTOD) {
+            char *stop;
+            v = strtod(line, &stop);
+            if (stop != comma)
+                return -1;
+        }
+        if (!isfinite(v))
             return -1;
         const char *label = comma + 1;
         size_t length = (size_t)(eol - label);

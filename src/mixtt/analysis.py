@@ -10,6 +10,7 @@ summary's HPD interval into a decision status string.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,36 +71,49 @@ def density_grid(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density estimate of the draws on a uniform grid over [min, max].
 
     The bandwidth is Silverman's rule of thumb, 0.9 * min(sd, IQR/1.34) *
-    m^(-1/5). Returns ``(grid, density)``.
+    m^(-1/5). Returns ``(grid, density)``, both finite.
 
     Raises
     ------
     ValueError
-        If all draws are identical (no density estimate exists).
+        If all draws are identical (no density estimate exists), if they span
+        more than the largest float, or if the bandwidth falls below the
+        smallest normal float or is too large for the density's normalizer.
     """
     if np.all(draws == draws[0]):
         raise ValueError("all draws identical; no density estimate exists")
-    grid = np.linspace(draws.min(), draws.max(), _DENSITY_GRID_POINTS)
-    sd = float(draws.std(ddof=1))
-    q25, q75 = np.percentile(draws, [25.0, 75.0])
+    lo, hi = float(draws.min()), float(draws.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"draws span [{lo!r}, {hi!r}], more than the largest float; no density estimate exists")
+    # the sd of the draws scaled into (-1, 1) by a power of two, which is exact: no square under- or overflows
+    exponent = math.frexp(max(-lo, hi))[1]
+    sd = math.ldexp(float(np.ldexp(draws, -exponent).std(ddof=1)), exponent)
+    q25, q75 = np.percentile(draws, [25.0, 75.0]).tolist()
     spread = min(sd, (q75 - q25) / 1.34)
     if spread <= 0.0:
         spread = sd
     h = 0.9 * spread * draws.size ** (-0.2)
+    if not h >= sys.float_info.min:
+        raise ValueError(f"draws too close together for a density estimate: bandwidth {h!r}")
+    normalizer = 1.0 / (draws.size * h * math.sqrt(2.0 * math.pi))
+    if normalizer == 0.0:
+        raise ValueError(f"draws too far apart for a density estimate: bandwidth {h!r}")
+    grid = np.linspace(lo, hi, _DENSITY_GRID_POINTS)
     dens = np.empty(grid.size)
     # exp(-0.5 * ((x - draws) / h) ** 2) summed per grid point x, a few points at a time, each step
     # in place in one reused block: a fresh temporary per step cost more than the arithmetic
     scratch = np.empty((_DENSITY_BLOCK_POINTS, draws.size))
-    for start in range(0, grid.size, _DENSITY_BLOCK_POINTS):
-        points = grid[start : start + _DENSITY_BLOCK_POINTS, None]
-        block = scratch[: points.shape[0]]
-        np.subtract(points, draws, out=block)
-        np.divide(block, h, out=block)
-        np.square(block, out=block)
-        np.multiply(block, -0.5, out=block)
-        np.exp(block, out=block)
-        block.sum(axis=1, out=dens[start : start + points.shape[0]])
-    return grid, dens * (1.0 / (draws.size * h * math.sqrt(2.0 * math.pi)))
+    with np.errstate(over="ignore"):  # a draw whose term overflows is so far from x that it adds exp(-inf) = 0
+        for start in range(0, grid.size, _DENSITY_BLOCK_POINTS):
+            points = grid[start : start + _DENSITY_BLOCK_POINTS, None]
+            block = scratch[: points.shape[0]]
+            np.subtract(points, draws, out=block)
+            np.divide(block, h, out=block)
+            np.square(block, out=block)
+            np.multiply(block, -0.5, out=block)
+            np.exp(block, out=block)
+            block.sum(axis=1, out=dens[start : start + points.shape[0]])
+    return grid, dens * normalizer
 
 
 def posterior_mode(draws: np.ndarray) -> float:

@@ -33,13 +33,17 @@ twin of :func:`~mixtt.distributions.sample_normal` alone, through which
 and the bulk value parse of :func:`mixtt.reports.read_sample_csv`: through
 :func:`_scan_block`, one C pass over a plain block turns its lines into
 values and raw label codes without a Python object per row. The scan takes
-only values of a strict ASCII grammar, which glibc's ``strtod`` and
-CPython's ``float()`` both round correctly, so to the same double; it
-declines a block at any other value, or where ``strtod`` stops early, as
-under a locale whose decimal point is not ``.``, and the reader then splits
-the block in Python. This module alone binds and calls the library; its one
-``_kernel`` handle chooses the path for all three, and tests select the
-Python path for chains, data and reading alike by setting it to None.
+only values of a strict ASCII grammar. It converts those of up to 19
+significant digits by Eisel-Lemire, with the table of powers of five that
+:func:`_powers_of_five` builds and loading hands it, and the rest with
+glibc's ``strtod``; both, like CPython's ``float()``, round correctly, so to
+the same double. It declines a block at any other value, or where a
+``strtod`` call stops early, as under a locale whose decimal point is not
+``.`` (the Eisel-Lemire path, like ``float()``, reads ``.`` under any
+locale), and the reader then splits the block in Python. This module alone
+binds and calls the library; its one ``_kernel`` handle chooses the path for
+all three, and tests select the Python path for chains, data and reading
+alike by setting it to None.
 
 The chain state is a plain ``(mu1, mu2, sigma2_1, sigma2_2)`` tuple of
 floats; :func:`run_chain` and :func:`_normals` each allocate one array,
@@ -220,6 +224,25 @@ def _compile_kernel(cc: str, path: Path) -> None:
             os.unlink(tmp)
 
 
+def _powers_of_five() -> list[int]:
+    """The kernel's Eisel-Lemire table: for q in [-342, 308], the 128 leading bits of 5^q, high word first.
+
+    For q >= 0 they are 5^q's own bits, truncated; for q < 0, those of
+    floor(2^b / 5^-q) + 1 for a b that leaves at least 128 bits, truncated, as
+    in Lemire's fast_float. Exact integer arithmetic, about 2 ms.
+    """
+    words = []
+    for q in range(-342, 309):
+        if q < 0:
+            z = (5 ** -q).bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5 ** -q + 1
+        else:
+            c = 5 ** q
+        c = c << max(0, 128 - c.bit_length()) >> max(0, c.bit_length() - 128)
+        words += [c >> 64, c & 0xFFFF_FFFF_FFFF_FFFF]
+    return words
+
+
 def _bind_kernel(path: Path):
     lib = ctypes.CDLL(str(path))
     u64_p = ctypes.POINTER(ctypes.c_uint64)
@@ -231,8 +254,14 @@ def _bind_kernel(path: Path):
     lib.scan_block.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                                ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)]
     lib.scan_block.restype = ctypes.c_int64
+    lib.set_ziggurat.argtypes = [double_p, double_p]
+    lib.set_ziggurat.restype = None
+    lib.set_powers_of_five.argtypes = [u64_p]
+    lib.set_powers_of_five.restype = None
     table = ctypes.c_double * len(ZIGGURAT_X)
     lib.set_ziggurat(table(*ZIGGURAT_X), table(*ZIGGURAT_F))
+    powers = _powers_of_five()
+    lib.set_powers_of_five((ctypes.c_uint64 * len(powers))(*powers))
     return lib
 
 

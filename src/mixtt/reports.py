@@ -9,11 +9,12 @@ lines are read in bulk until the first block that is not plain: one with a
 quoted field, a CR line end, a NUL, a blank or whitespace-only line, or a
 row that breaks a rule above. The compiled kernel parses a plain block in
 one C pass (:func:`mixtt.gibbs._scan_block`): it takes only values of a
-strict ASCII grammar, which its ``strtod`` and ``float()`` both round
-correctly, and declines anything else, such as whitespace, ``inf`` or a
-locale's other decimal point, so that numpy and ``float()`` split that block
-instead, as they split every block without the kernel; the groups are the
-same either way. The rest of the file is read row by row through the csv
+strict ASCII grammar, converts those of up to 19 significant digits by
+Eisel-Lemire and the rest by ``strtod``, which both round correctly, as
+``float()`` does, and declines anything else, such as whitespace, ``inf``,
+or a locale's other decimal point in a value left to ``strtod``, so that
+numpy and ``float()`` split that block instead, as they split every block
+without the kernel; the groups are the same either way. The rest of the file is read row by row through the csv
 module; a rejected row, or a csv-module error, names its line, and
 undecodable text names its line and byte offset in the file.
 Reports are JSON with sorted keys and floats in shortest round-trip

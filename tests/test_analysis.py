@@ -98,6 +98,47 @@ def test_density_grid_matches_the_broadcast_reference_bit_for_bit(draws):
     assert dens.tobytes() == ref_dens.tobytes()
 
 
+def _normals(count=200):
+    rng = RngState(5)
+    return np.array([sample_normal(rng, 0.0, 1.0) for _ in range(count)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-300, 301, 50)], ids=lambda s: f"{s:.0e}")
+def test_density_grid_is_finite_at_any_scale(scale):
+    grid, dens = density_grid(_normals() * scale)
+    assert np.isfinite(grid).all() and np.isfinite(dens).all() and dens.max() > 0.0
+
+
+@pytest.mark.parametrize("power", [-990, -600, 600, 990])
+def test_density_grid_scales_exactly_by_powers_of_two(power):
+    # the sd is computed on draws scaled into (-1, 1), which must not change its value
+    grid, dens = density_grid(_normals())
+    scaled_grid, scaled_dens = density_grid(np.ldexp(_normals(), power))
+    assert scaled_grid.tobytes() == np.ldexp(grid, power).tobytes()
+    assert scaled_dens.tobytes() == np.ldexp(dens, -power).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_density_grid_of_far_outliers_is_finite():
+    # the bandwidth is set by the other draws, so the outliers' terms overflow where they add exp(-inf) = 0
+    draws = np.concatenate([_normals(198) * 1e-10, [-1e200, 1e200]])
+    grid, dens = density_grid(draws)
+    assert np.isfinite(dens).all() and dens[0] == dens[-1] > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("draws, message", [
+    (np.array([-1.5e308, 1.5e308]), "more than the largest float"),
+    (np.array([0.0, 5e-324]), "too close together"),
+    (_normals() * 1e-310, "too close together"),
+    (_normals() * 1e307, "too far apart"),
+], ids=["span", "subnormal-pair", "subnormal-normals", "huge-normals"])
+def test_density_grid_rejects_draws_beyond_float_range(draws, message):
+    with pytest.raises(ValueError, match=message):
+        density_grid(draws)
+
+
 def test_posterior_mode_degenerate():
     with pytest.raises(ValueError, match="all draws identical"):
         posterior_mode(np.array([1.0, 1.0, 1.0]))

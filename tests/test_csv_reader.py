@@ -10,9 +10,13 @@ both paths, and the csv loop must take over at the same line.
 """
 
 import csv
+import ctypes
 import math
 import random
+import shutil
 import struct
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +285,7 @@ def test_the_kernel_scan_reads_fuzzed_numbers_as_float_does():
 DECLINED = [
     " 2.5", "2.5 ", "١٢", "inf", "nan", "0x1p3", "1_0", "1e", ".", "1.7976931348623159e308",
     "1,5", "", "+", "-.e1", "1e+", "1.5e3.2", "0.0" + "0" * 131_072 + "1",
+    "0." + "0" * 99_999 + "1e1000000",  # the capped exponent would bring q back to 0 and read 1.0
 ]
 
 
@@ -322,3 +327,91 @@ def test_plain_blocks_are_split_only_without_the_kernel(tmp_path, monkeypatch):
     python = reports.read_sample_csv(path)
     assert len(splits) > 3  # one per block
     assert kernel.group1.tobytes() == python.group1.tobytes() and kernel.group2.tobytes() == python.group2.tobytes()
+
+
+def _edge_numbers(rng):
+    """The Eisel-Lemire path's own edges: 19 and 20 significant digits, the ends of its exponent
+    range, the exponent's cap, significands just under a power of two, exact ties where it must
+    round half to even, the smallest normal, subnormals and -0."""
+    def digits(count):
+        return str(rng.randrange(10 ** (count - 1), 10 ** count))
+
+    strings = ["-0", "-0.0", "-0e5", "0e-400", "-.0e999", "0." + "0" * 400, "1e308", "-1e308", "1e309"]
+    strings += ["0." + "0" * 99_999 + "1e100000", "-0." + "0" * 99_999 + "1e100000"]  # 1 at the exponent's cap
+    for k in range(54, 64):  # significands just under 2^k, which round up to 2^k as doubles
+        strings += [f"{2 ** k - 1}e{q}" for q in (-300, -20, 0, 3, 250)]
+    for _ in range(300):
+        for count in (19, 20):
+            w, point = digits(count), rng.randint(1, count)
+            strings += [f"{w}e{rng.randint(-360, 330)}", f"{w[:point]}.{w[point:]}",
+                        f"-{w[:3]}.{w[3:]}e-{rng.randint(300, 330)}"]
+    for q in (-342, -343, 308, 309):  # w * 10^q, the decimal exponent q after the digits of w
+        for count in (1, 5, 17, 19, 20):
+            w = digits(count)
+            strings += [f"{w}e{q}", f"{w[0]}.{w[1:]}e{q + count - 1}", f"0.{w}e{q + count}"]
+    for _ in range(400):
+        # w * 10^q = t * 2^j with t odd of 54 bits: halfway between two doubles, for q in [-4, 23]
+        q = rng.randint(-4, 23)
+        five = 5 ** abs(q)
+        if q >= 0:  # w = t / 5^q, t = w * 5^q, j = q
+            lo, hi = -(-2 ** 53 // five), (2 ** 54 - 1) // five
+            w = rng.randrange(lo, hi + 1) | 1
+            w = w if w <= hi else w - 2
+            t = w * five
+        else:  # w = t * 5^-q, j = q
+            t = rng.randrange(2 ** 53, min(2 ** 54, 10 ** 19 // five)) | 1
+            w = t * five
+        assert t % 2 == 1 and t.bit_length() == 54 and len(str(w)) <= 19
+        strings += [f"{w - 1}e{q}", f"{w}e{q}", f"{w + 1}e{q}", f"-{w}e{q}"]
+    smallest_normal = 2.0 ** -1022
+    for x in (smallest_normal, math.nextafter(smallest_normal, 0.0), 5e-324, 1e-323):
+        strings += [repr(x), f"-{x!r}", f"{x:.18e}", f"{x:.19e}", f"{x:.14e}"]
+    strings += ["2.4703282292062327e-324", "2.4703282292062328e-324",  # either side of half of 5e-324
+                "2.225073858507201136e-308", "2.225073858507201137e-308"]  # either side of the top subnormal's half ulp
+    return strings
+
+
+def test_the_kernel_scan_reads_eisel_lemire_edges_as_float_does():
+    strings = _edge_numbers(random.Random(30))
+    finite = [s for s in strings if math.isfinite(float(s))]
+    assert 0 < len(strings) - len(finite) < 100  # 1e309 and the digits at q = 309 overflow
+    values, _, _ = _scan(finite)
+    assert _bits(values) == _bits([float(s) for s in finite])
+    assert all(_scan([s]) is None for s in strings if s not in finite)
+
+
+def test_the_powers_of_five_start_and_center_as_in_fast_float():
+    words = gibbs._powers_of_five()
+    assert len(words) == 2 * 651
+    assert words[:2] == [0xEEF453D6923BD65A, 0x113FAA2906A13B3F]  # 5^-342
+    assert words[2 * 342 : 2 * 344] == [1 << 63, 0, 0xA << 60, 0]  # 5^0 and 5^1
+
+
+def _counting_kernel(directory):
+    """The kernel with its strtod calls counted (``tests/strtod_counter.c``), and the count."""
+    library = directory / "counted.so"
+    sources = [gibbs._KERNEL_SOURCE, Path(__file__).with_name("strtod_counter.c")]
+    subprocess.run([shutil.which("cc"), *gibbs._KERNEL_FLAGS, "-Dstrtod=counted_strtod",
+                    "-o", str(library), *map(str, sources), "-lm"], check=True)
+    kernel = gibbs._bind_kernel(library)
+    return kernel, ctypes.c_longlong.in_dll(kernel, "strtod_calls")
+
+
+def test_the_fast_path_reads_reprs_without_strtod(tmp_path, monkeypatch):
+    # a fast path that always fell back to strtod would pass every value test above
+    kernel, calls = _counting_kernel(tmp_path)
+    monkeypatch.setattr(gibbs, "_kernel", kernel)
+    rng = random.Random(31)
+    doubles = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(20_000)]
+    reprs = [repr(x) for x in doubles if math.isfinite(x)] + [repr(rng.gauss(0.0, 1.0)) for _ in range(5_000)]
+    values, _, _ = _scan(reprs)
+    assert _bits(values) == _bits([float(s) for s in reprs])
+    assert calls.value == 0
+    edges = [s for s in _edge_numbers(random.Random(30)) if math.isfinite(float(s))]
+    values, _, _ = _scan(edges)
+    assert _bits(values) == _bits([float(s) for s in edges])
+    long = [s for s in HARD_NUMBERS if len(s) >= 800]
+    calls.value = 0
+    values, _, _ = _scan(long)
+    assert _bits(values) == _bits([float(s) for s in long])
+    assert calls.value == len(long) == 2
