@@ -188,7 +188,8 @@ def pooled_sd(sigma2_1, sigma2_2, n1: int, n2: int):
     """Pooled standard deviation sqrt(((n1-1)*v1 + (n2-1)*v2) / (n1+n2-2)).
 
     Accepts scalars or equally shaped arrays for the two variances. For
-    n1 == n2 this reduces exactly to sqrt((v1 + v2) / 2).
+    n1 == n2 this reduces exactly to sqrt((v1 + v2) / 2). No sum overflows,
+    up to the largest float.
 
     Raises
     ------
@@ -203,8 +204,14 @@ def pooled_sd(sigma2_1, sigma2_2, n1: int, n2: int):
     if np.any(v1 <= 0.0) or np.any(v2 <= 0.0):
         raise ValueError("variances must be > 0")
     if n1 == n2:
-        # algebraically the same, but keeps the balanced case exact in floats
-        out = np.sqrt((v1 + v2) / 2.0)
+        # algebraically the same, but keeps the balanced case exact in floats; the halves' sum is
+        # (v1 + v2) / 2 in floats, without its overflow
+        out = np.sqrt(v1 * 0.5 + v2 * 0.5)
     else:
-        out = np.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
+        # the variances scaled by an even power of two 4^-k <= 1 / (n1 + n2 - 2), so the weighted sum
+        # cannot overflow, and the root scaled back by 2^k: exact for ordinary variances
+        divisor = n1 + n2 - 2
+        k = ((divisor - 1).bit_length() + 1) // 2
+        scale = math.ldexp(1.0, -2 * k)
+        out = np.sqrt(((n1 - 1) * scale * v1 + (n2 - 1) * scale * v2) / divisor) * math.ldexp(1.0, k)
     return float(out) if out.ndim == 0 else out

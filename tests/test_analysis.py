@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import density_grid_broadcast, shortest_covering_interval
+from _oracles import density_bandwidth, density_grid_broadcast, shortest_covering_interval
 
 from mixtt.analysis import (
     DECISION_ACCEPTED,
@@ -25,7 +25,8 @@ from mixtt.analysis import (
 )
 from mixtt.distributions import RngState, sample_normal
 from mixtt.gibbs import ChainConfig, PosteriorChain, run_chain
-from mixtt.model import GroupedSample, IndependencePrior, SufficientStats
+from mixtt.harness import Scenario, generate_dataset
+from mixtt.model import GroupedSample, IndependencePrior, PriorPreset, SufficientStats, realize_preset
 
 
 def chain_of(mu1, mu2, s1, s2, n1=10, n2=10):
@@ -85,22 +86,72 @@ def test_posterior_mode_normal_draws():
     assert posterior_mode(draws) == pytest.approx(2.0, abs=0.05)
 
 
-@pytest.mark.parametrize("draws", [
-    # m draws: around the 16 rows of the package's block, a default chain's 5,000 kept sweeps, a long chain's
-    *(pytest.param(np.random.default_rng(m).normal(0.4, 0.3, m), id=str(m)) for m in [2, 15, 16, 17, 5_000, 20_000]),
-    # coinciding quartiles and a positive sd: the bandwidth falls back from the IQR to the sd
-    pytest.param(np.array([0.0] * 10 + [1.0]), id="zero-iqr"),
-])
-def test_density_grid_matches_the_broadcast_reference_bit_for_bit(draws):
-    grid, dens = density_grid(draws)
-    ref_grid, ref_dens = density_grid_broadcast(draws)
-    assert grid.tobytes() == ref_grid.tobytes()
-    assert dens.tobytes() == ref_dens.tobytes()
-
-
 def _normals(count=200):
     rng = RngState(5)
     return np.array([sample_normal(rng, 0.0, 1.0) for _ in range(count)])
+
+
+def _binning(draws):
+    """density_grid's stated bound on its distance from the exact sum, (d/h)^2 / (8 h sqrt(2 pi)), and the
+    bandwidth h in fine steps d, a quarter of the 512-point grid's step."""
+    d = (draws.max() - draws.min()) / (511 * 4)
+    with np.errstate(over="ignore"):  # for far outliers the sd overflows, and the IQR's bandwidth is far below d
+        h = density_bandwidth(draws)
+        return (d / h) ** 2 / (8.0 * h * math.sqrt(2.0 * math.pi)), h / d
+
+
+def _assert_within_binning_bound(draws):
+    grid, dens = density_grid(draws)
+    ref_grid, ref_dens = density_grid_broadcast(draws)
+    assert grid.tobytes() == ref_grid.tobytes()
+    assert np.abs(dens - ref_dens).max() <= _binning(draws)[0]
+    assert (dens >= 0.0).all()
+    return dens, ref_dens
+
+
+@pytest.mark.parametrize("draws", [
+    # m draws: around the 16 rows of the exact sum's block, a default chain's 5,000 kept sweeps, a long chain's
+    *(pytest.param(np.random.default_rng(m).normal(0.4, 0.3, m), id=str(m)) for m in [2, 15, 16, 17, 5_000, 20_000]),
+    # coinciding quartiles and a positive sd: the bandwidth falls back from the IQR to the sd
+    pytest.param(np.array([0.0] * 10 + [1.0]), id="zero-iqr"),
+    # skewed draws, whose density jumps at 0, and heavy tails or one far draw, which leave the bandwidth
+    # a few fine steps wide: t3 and the 30-sd outlier are binned, t2 and the 50-sd outlier summed exactly
+    pytest.param(np.random.default_rng(1).exponential(1.0, 5_000), id="exponential"),
+    pytest.param(np.random.default_rng(2).standard_t(3.0, 5_000), id="t3"),
+    pytest.param(np.random.default_rng(2).standard_t(2.0, 5_000), id="t2"),
+    pytest.param(np.append(np.random.default_rng(3).normal(0.0, 1.0, 4_999), 30.0), id="outlier-30sd"),
+    pytest.param(np.append(np.random.default_rng(3).normal(0.0, 1.0, 4_999), 50.0), id="outlier-50sd"),
+    # two clusters with a gap where the exact sum underflows to 0 and the FFT's round-off dips below it
+    pytest.param(np.concatenate([np.random.default_rng(0).normal(0.0, 1.0, 4_500),
+                                 np.random.default_rng(0).normal(25.0, 0.5, 500)]), id="gap"),
+])
+def test_density_grid_is_within_its_binning_bound_of_the_broadcast_reference(draws):
+    _assert_within_binning_bound(draws)
+
+
+@pytest.mark.parametrize("scenario", ["null", "small", "large"])
+def test_density_grid_of_default_chains_is_within_1e_5_of_the_exact_peak(scenario):
+    sample = generate_dataset(Scenario.named(scenario), 50, RngState(31))
+    prior = realize_preset(PriorPreset("wide"), sample)
+    draws = effect_size_series(run_chain(sample, ChainConfig(10_000, 5_000, 7, prior)), "g2-g1")
+    assert _binning(draws)[1] >= 8.0  # the binned estimate runs
+    dens, ref_dens = _assert_within_binning_bound(draws)
+    assert np.abs(dens - ref_dens).max() <= 1e-5 * ref_dens.max()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("draws", [
+    pytest.param(np.random.default_rng(4).standard_cauchy(5_000), id="cauchy"),
+    pytest.param(np.random.default_rng(5).lognormal(0.0, 2.0, 5_000), id="lognormal-2"),
+    pytest.param(np.concatenate([_normals(198) * 1e-10, [-1e200, 1e200]]), id="far-outliers"),
+])
+def test_density_grid_of_unresolved_draws_is_the_exact_sum_bit_for_bit(draws):
+    assert _binning(draws)[1] < 8.0  # the bandwidth spans too few fine steps for the binned estimate
+    grid, dens = density_grid(draws)
+    with np.errstate(over="ignore"):  # the far outliers' squares and terms overflow in the broadcast
+        ref_grid, ref_dens = density_grid_broadcast(draws)
+    assert grid.tobytes() == ref_grid.tobytes()
+    assert dens.tobytes() == ref_dens.tobytes()
 
 
 @pytest.mark.filterwarnings("error")

@@ -10,7 +10,7 @@ from mixtt.analysis import HpdInterval, cohen_partition, density_grid, summarize
 from mixtt.cli import main
 from mixtt.distributions import RngState, sample_normal
 from mixtt.gibbs import PosteriorChain
-from mixtt.model import GroupedSample, compute_sufficient_stats
+from mixtt.model import GroupedSample, PriorPreset, compute_sufficient_stats, realize_preset
 from mixtt.reports import read_sample_csv, write_json, write_plot_data, write_plot_rows
 
 
@@ -152,6 +152,48 @@ def test_analyze_direction_and_custom_prior(data_csv, tmp_path):
     assert report["analysis"]["delta_mpe"] < 0.0
     assert report["chain"]["preset"] == "custom"
     assert report["chain"]["prior"] == {"b0": 0.0, "B0": 10.0, "c0": 0.5, "C0": 0.5}
+
+
+def test_analyze_parameter_summary_is_the_draws_mean_and_sd(data_csv, tmp_path):
+    # the report scales the draws by a power of two, which leaves ordinary values' bits alone
+    out = tmp_path / "report.json"
+    assert run_cli("analyze", "--input", data_csv, "--output", out, "--seed", 3, "--iters", 2000, "--burnin", 500) == 0
+    sample = read_sample_csv(data_csv)
+    chain = gibbs.run_chain(sample, gibbs.ChainConfig(2000, 500, 3, realize_preset(PriorPreset("wide"), sample)))
+    summary = json.loads(out.read_text())["chain"]["parameter_summary"]
+    for name in ("mu1", "mu2", "sigma2_1", "sigma2_2"):
+        draws = getattr(chain, name)
+        assert summary[name] == {"mean": float(draws.mean()), "sd": float(draws.std(ddof=1))}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("prior", [
+    ["--b0", 0, "--B0", 1, "--c0", 1, "--C0", 1e308],
+    ["--b0", 0, "--B0", 1e300, "--c0", 1e-300, "--C0", 1e300],
+], ids=["C0-1e308", "B0-1e300-c0-1e-300"])
+def test_analyze_reports_extreme_custom_priors_finitely(tmp_path, prior):
+    # the variance draws reach 1e307: their sums, squares and pooled sd would overflow unscaled
+    data = tmp_path / "data.csv"
+    write_sample_csv(harness.generate_dataset(harness.Scenario.named("large"), 30, RngState(7)), data)
+    out = tmp_path / "report.json"
+    assert run_cli("analyze", "--input", data, "--output", out, "--plot-data", tmp_path / "plot.csv",
+                   "--seed", 1, "--iters", 3000, "--burnin", 1000, *prior) == 0
+    report = json.loads(out.read_text())  # the report is written with allow_nan=False: every float is finite
+    for name in ("sigma2_1", "sigma2_2"):
+        assert report["chain"]["parameter_summary"][name]["mean"] > 1e290
+
+
+@pytest.mark.filterwarnings("error")
+def test_analyze_rejects_a_chain_that_draws_past_the_largest_float(tmp_path, capsys):
+    # IG(2, 1e308) draws a variance past the largest float in about one sweep of nine
+    data = tmp_path / "data.csv"
+    data.write_text("value,group\n1.5,a\n2.25,a\n3.0,b\n4.5,b\n")
+    out = tmp_path / "report.json"
+    assert run_cli("analyze", "--input", data, "--output", out, "--seed", 1, "--iters", 3000, "--burnin", 1000,
+                   "--b0", 0, "--B0", 1, "--c0", 1, "--C0", 1e308) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mixtt: error: the chain drew values beyond the largest float, ") and " in 2000 kept sweeps" in err
+    assert not out.exists()
 
 
 def test_analyze_direction_mirrors_every_summary(tmp_path):

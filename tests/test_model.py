@@ -125,6 +125,22 @@ def test_pooled_sd_balanced_identity_exact():
         assert pooled_sd(v1, v2, n, n) == math.sqrt((v1 + v2) / 2.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_pooled_sd_of_variances_near_the_largest_float():
+    v1, v2 = np.array([1.5e308, 1.7e308, 1e-300]), np.array([1.7e308, 1.6e308, 3e-300])
+    # the halves' sum is (v1 + v2) / 2 in floats, without its overflow
+    np.testing.assert_array_equal(pooled_sd(v1, v2, 10, 10), np.sqrt(v1 / 2.0 + v2 / 2.0))
+    np.testing.assert_allclose(pooled_sd(v1, v2, 3, 5), np.sqrt(v1 / 3.0 + v2 / 1.5), rtol=1e-15)
+
+
+@pytest.mark.parametrize("n1, n2", [(10, 10), (3, 5), (300, 7)])
+def test_pooled_sd_of_ordinary_variances_is_the_unscaled_form_bit_for_bit(n1, n2):
+    rng = np.random.default_rng(9)
+    v1, v2 = rng.uniform(1e-6, 1e6, (2, 1000))
+    unscaled = np.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)) if n1 != n2 else np.sqrt((v1 + v2) / 2.0)
+    assert pooled_sd(v1, v2, n1, n2).tobytes() == unscaled.tobytes()
+
+
 def test_pooled_sd_errors():
     with pytest.raises(ValueError, match=r"n1 \+ n2 >= 3"):
         pooled_sd(1.0, 1.0, 1, 1)
