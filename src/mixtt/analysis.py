@@ -31,8 +31,6 @@ _DENSITY_FFT_POINTS = 1 << (2 * _DENSITY_FINE_STEPS).bit_length()
 _DENSITY_MIN_WIDTH = 8.0
 # bandwidths past which the kernel exp(-0.5 * u ** 2) underflows to 0
 _DENSITY_KERNEL_REACH = 38.6
-# grid points per block of the exact sum: the block of points x draws stays small enough to cache
-_DENSITY_BLOCK_POINTS = 16
 
 DECISION_ACCEPTED = "accepted"
 DECISION_REJECTED = "rejected"
@@ -156,21 +154,8 @@ def _binned_density_sum(positions: np.ndarray, width: float) -> np.ndarray:
 
 def _exact_density_sum(grid: np.ndarray, draws: np.ndarray, h: float) -> np.ndarray:
     """Sum of exp(-0.5 * ((x - draw) / h) ** 2) over every draw at every grid point x."""
-    dens = np.empty(grid.size)
-    # a few points at a time, each step in place in one reused block: a fresh temporary per step
-    # cost more than the arithmetic
-    scratch = np.empty((_DENSITY_BLOCK_POINTS, draws.size))
     with np.errstate(over="ignore"):  # a draw whose term overflows is so far from x that it adds exp(-inf) = 0
-        for start in range(0, grid.size, _DENSITY_BLOCK_POINTS):
-            points = grid[start : start + _DENSITY_BLOCK_POINTS, None]
-            block = scratch[: points.shape[0]]
-            np.subtract(points, draws, out=block)
-            np.divide(block, h, out=block)
-            np.square(block, out=block)
-            np.multiply(block, -0.5, out=block)
-            np.exp(block, out=block)
-            block.sum(axis=1, out=dens[start : start + points.shape[0]])
-    return dens
+        return np.array([np.exp(-0.5 * np.square((x - draws) / h)).sum() for x in grid.tolist()])
 
 
 def posterior_mode(draws: np.ndarray) -> float:
@@ -294,7 +279,19 @@ class PosteriorSummary:
 
 
 def summarize(chain: PosteriorChain, direction: str, alpha: float) -> PosteriorSummary:
-    """Posterior mean, alpha-level HPD and Cohen-partition PMP of the chain's effect size."""
+    """Posterior mean, alpha-level HPD and Cohen-partition PMP of the chain's effect size.
+
+    Raises
+    ------
+    ValueError
+        If any draw of the chain is not finite: a draw past the largest float
+        is inf, and no finite summary exists.
+    """
+    rows = (chain.mu1, chain.mu2, chain.sigma2_1, chain.sigma2_2)
+    overflowed = sum(row.size - int(np.count_nonzero(np.isfinite(row))) for row in rows)
+    if overflowed:
+        raise ValueError(f"the chain drew values beyond the largest float, {overflowed} in {rows[0].size} kept sweeps; "
+                         "no finite report exists for this prior and data")
     draws = effect_size_series(chain, direction)
     label, mass = pmp(draws, cohen_partition())
     return PosteriorSummary(delta_mpe(draws), hpd_interval(draws, alpha), label, mass)

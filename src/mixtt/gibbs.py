@@ -40,7 +40,8 @@ glibc's ``strtod``; both, like CPython's ``float()``, round correctly, so to
 the same double. It declines a block at any other value, or where a
 ``strtod`` call stops early, as under a locale whose decimal point is not
 ``.`` (the Eisel-Lemire path, like ``float()``, reads ``.`` under any
-locale), and the reader then splits the block in Python. This module alone
+locale), and the reader then reads that block and the rest of the file row
+by row, as it reads every row without the kernel. This module alone
 binds and calls the library; its one ``_kernel`` handle chooses the path for
 all three, and tests select the Python path for chains, data and reading
 alike by setting it to None.

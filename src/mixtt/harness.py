@@ -195,6 +195,7 @@ def prior_sensitivity(
         If ``presets`` fails :func:`check_presets`, ``alpha`` is not a credible level,
         ``base_seed`` fails :func:`check_seed`, the chain length fails :func:`check_chain_length`,
         or the sample is too small for a pooled standard deviation; no chain runs.
+        Also if a chain draws a value past the largest float (:func:`~mixtt.analysis.summarize`).
     """
     check_level(alpha)
     presets = check_presets(presets)

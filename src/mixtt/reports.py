@@ -4,18 +4,18 @@ Input CSV has a ``value,group`` header. Each value is a finite number without
 ``_`` digit separators; the group column holds exactly two distinct non-blank
 labels, and the first label in the file becomes group 1. A report depends
 only on each group's values in file order and on which label comes first,
-not on how the two groups' rows are interleaved. Plain blocks of whole
-lines are read in bulk until the first block that is not plain: one with a
-quoted field, a CR line end, a NUL, a blank or whitespace-only line, or a
-row that breaks a rule above. The compiled kernel parses a plain block in
-one C pass (:func:`mixtt.gibbs._scan_block`): it takes only values of a
-strict ASCII grammar, converts those of up to 19 significant digits by
+not on how the two groups' rows are interleaved. The compiled kernel reads
+plain blocks of whole lines in bulk, in one C pass each
+(:func:`mixtt.gibbs._scan_block`), until the first block it does not take:
+one with a quoted field, a CR line end, a NUL, a blank or whitespace-only
+line, or a row that breaks a rule above. It takes only values of a strict
+ASCII grammar, converts those of up to 19 significant digits by
 Eisel-Lemire and the rest by ``strtod``, which both round correctly, as
 ``float()`` does, and declines anything else, such as whitespace, ``inf``,
-or a locale's other decimal point in a value left to ``strtod``, so that
-numpy and ``float()`` split that block instead, as they split every block
-without the kernel; the groups are the same either way. The rest of the file is read row by row through the csv
-module; a rejected row, or a csv-module error, names its line, and
+or a locale's other decimal point in a value left to ``strtod``. That
+block and the rest of the file, or the whole file without the kernel, are
+read row by row through the csv module; the groups are the same either
+way. A rejected row, or a csv-module error, names its line, and
 undecodable text names its line and byte offset in the file.
 Reports are JSON with sorted keys and floats in shortest round-trip
 notation, so identical runs produce byte-identical files.
@@ -122,8 +122,9 @@ def read_sample_csv(path: str | Path) -> GroupedSample:
     """Read a two-column ``value,group`` CSV into a :class:`GroupedSample`.
 
     The header and every data row hold exactly two fields; blank lines are
-    skipped. Plain blocks are read in bulk until the first block that is not
-    plain; the csv loop reads that block and the rest of the file row by row.
+    skipped. The kernel reads plain blocks in bulk until the first block that
+    is not plain or that it declines; the csv loop reads that block and the
+    rest of the file row by row, and without the kernel every row.
 
     Raises
     ------
@@ -189,15 +190,13 @@ def _take_block(block: str, groups: dict[str, list[np.ndarray]]) -> int:
     ``_`` and finite rules and parse as ``float()`` parses them; its labels
     must strip to non-blank ones, at most two with those already in
     ``groups``. Anything else, a blank line included, is left to the csv loop,
-    so it alone words every error. The kernel's scan reads the block where it
-    can (:func:`~mixtt.gibbs._scan_block`), and :func:`_split_block` where
-    the kernel is absent or declines it; both give the same values and labels.
+    so it alone words every error. Only the kernel's scan
+    (:func:`~mixtt.gibbs._scan_block`) reads a block; without the kernel, or
+    where it declines the block, this returns 0.
     """
     if '"' in block or "\r" in block or "\0" in block:
         return 0
-    text = block.encode()
-    limit = csv.field_size_limit()
-    split = _scan_block(text, limit) or _split_block(block, text, limit)
+    split = _scan_block(block.encode(), csv.field_size_limit())
     if split is None:
         return 0
     values, codes, labels = split
@@ -214,38 +213,6 @@ def _take_block(block: str, groups: dict[str, list[np.ndarray]]) -> int:
     for label, part in zip(index, (values[first], values[~first])):
         groups.setdefault(label, []).append(part)
     return values.size
-
-
-def _split_block(block: str, text: bytes, limit: int) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
-    """:func:`~mixtt.gibbs._scan_block`'s result for ``block``, whose UTF-8 is ``text``, from numpy and ``float()``.
-
-    It takes every value ``float()`` reads as a finite number without ``_``,
-    and any number of raw labels; None where a line holds other than one
-    comma, is over ``limit`` bytes or has another value.
-    """
-    body = block.removesuffix("\n")
-    # ',' and '\n' are single bytes in UTF-8 and occur in no other character's encoding
-    raw = np.frombuffer(text.removesuffix(b"\n"), np.uint8)
-    newlines = np.flatnonzero(raw == ord("\n"))
-    starts, ends = np.append(0, newlines + 1), np.append(newlines, raw.size)
-    commas = np.flatnonzero(raw == ord(","))
-    # n commas for n lines, comma i inside line i: every line holds exactly one. A line's
-    # length in bytes bounds its fields' lengths in characters
-    if (commas.size != starts.size or (commas < starts).any() or (commas >= ends).any()
-            or (ends - starts).max() > limit):
-        return None
-    fields = body.replace("\n", ",").split(",")
-    values, labels = fields[0::2], fields[1::2]
-    if "_" in block and "_" in "".join(values):  # float() would read 1_0 as 10
-        return None
-    try:
-        v = np.array(values, dtype=float)
-    except ValueError:  # a value float() rejects
-        return None
-    if not np.isfinite(v).all():
-        return None
-    codes = {label: code for code, label in enumerate(dict.fromkeys(labels))}  # raw label -> code
-    return v, np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels)), [*codes]
 
 
 def _read_rows(path: str | Path, lines, lineno: int, groups: dict[str, list[np.ndarray]]) -> None:

@@ -266,10 +266,10 @@ def density_bandwidth(draws):
 def density_grid_broadcast(draws):
     """``analysis.density_grid``'s exact sum as one broadcast over every (grid point, draw) pair.
 
-    The package evaluates the same expression in the same order a few grid
-    points at a time, in place in one reused block, where the bandwidth spans
-    too few fine grid steps for its binned estimate; there the two must agree
-    bit for bit, since each grid point's sum runs over the same row of terms.
+    The package evaluates the same expression in the same order one grid
+    point at a time, where the bandwidth spans too few fine grid steps for its
+    binned estimate; there the two must agree bit for bit, since each grid
+    point's sum runs over the same row of terms.
     """
     grid = np.linspace(draws.min(), draws.max(), 512)
     h = density_bandwidth(draws)

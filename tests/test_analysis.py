@@ -22,6 +22,7 @@ from mixtt.analysis import (
     hpd_interval,
     pmp,
     posterior_mode,
+    summarize,
 )
 from mixtt.distributions import RngState, sample_normal
 from mixtt.gibbs import ChainConfig, PosteriorChain, run_chain
@@ -362,3 +363,14 @@ def test_mode_matches_kitchen_sink_chain():
     chain = run_chain(sample, ChainConfig(6000, 1000, 6, prior))
     draws = effect_size_series(chain, direction="g2-g1")
     assert posterior_mode(draws) == pytest.approx(delta_mpe(draws), abs=0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_summarize_rejects_a_chain_with_draws_past_the_largest_float():
+    # IG(2, 1e308) draws 471 infinite variances here, whose effect sizes are exactly 0; the other
+    # variances are so large that an HPD and PMP of the draws would come out finite and mean nothing
+    prior = IndependencePrior(0.0, 1.0, 1.0, 1e308)
+    chain = run_chain(GroupedSample([1.5, 2.25], [3.0, 4.5]), ChainConfig(3000, 1000, 1, prior))
+    with pytest.raises(ValueError, match=r"^the chain drew values beyond the largest float, 471 in 2000 kept sweeps; "
+                                         r"no finite report exists for this prior and data$"):
+        summarize(chain, "g2-g1", 0.95)
