@@ -3,12 +3,14 @@
 ``run_chain`` runs the chain in ``_kernel.c`` when it can, and
 ``generate_dataset`` draws each group's normals there. Setting
 ``gibbs._kernel`` to None makes the chain run :func:`gibbs_sweep` and the
-data call :func:`sample_normal`, both in Python.
+data call :func:`sample_normal`, both in Python. Draws are compared as bytes:
+``np.array_equal`` takes -0.0 for 0.0, so it would miss a sign fault at zero.
 """
 
 import collections
 import math
 import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -63,7 +65,7 @@ def _acceptance_dataset(scenario, n):
 
 def _assert_same_draws(a, b):
     for f in FIELDS:
-        assert np.array_equal(getattr(a, f), getattr(b, f)), f
+        assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
 
 
 @needs_cc
@@ -83,8 +85,8 @@ def test_kernel_data_and_stream_position_equal_python(monkeypatch, scenario, n):
     kernel_sample, kernel_next = draw()
     monkeypatch.setattr(gibbs, "_kernel", None)
     python_sample, python_next = draw()
-    assert np.array_equal(kernel_sample.group1, python_sample.group1)
-    assert np.array_equal(kernel_sample.group2, python_sample.group2)
+    assert kernel_sample.group1.tobytes() == python_sample.group1.tobytes()
+    assert kernel_sample.group2.tobytes() == python_sample.group2.tobytes()
     assert kernel_next == python_next
 
 
@@ -110,7 +112,7 @@ def test_kernel_normals_equal_python_on_every_ziggurat_branch(seed):
         before = python_rng.words
         python.append(sample_normal(python_rng, 0.0, 1.0))
         words.append(python_rng.words - before)
-    assert np.array_equal(kernel, python)
+    assert kernel.tobytes() == np.array(python).tobytes()
     assert kernel_rng.state_words() == python_rng.state_words()
     per_draw = collections.Counter(words)
     assert per_draw[1] > 0.96 * n  # the rectangle of a layer, on one word
@@ -118,6 +120,27 @@ def test_kernel_normals_equal_python_on_every_ziggurat_branch(seed):
     size, spent = np.abs(kernel), np.array(words)
     assert np.any(size > ZIGGURAT_R)  # the tail of layer 0
     assert np.any((spent >= 3) & (size <= ZIGGURAT_R))  # a rejected wedge test, then another try
+
+
+def _rng_whose_first_word_is(word):
+    # xoshiro256++ returns rotl(s0 + s3, 23) + s0, so s0 = 0 and s3 = rotr(word, 23) give word
+    rng = RngState(1)
+    s3 = (word >> 23 | word << 41) & 0xFFFF_FFFF_FFFF_FFFF
+    rng.set_state_words((0, 0x9E37_79B9_7F4A_7C15, 0xBF58_476D_1CE4_E5B9, s3))
+    return rng
+
+
+@needs_cc
+@pytest.mark.parametrize("word, sign", [(0x80, -1.0), (0x00, 1.0)])
+def test_kernel_normals_keep_the_sign_of_a_zero_draw(word, sign):
+    # bits 11-63 of either word give magnitude 0; bit 7 of 0x80 sets the sign, and with
+    # mean -0.0 the sum -0.0 + sd * x keeps it
+    kernel_rng, python_rng = _rng_whose_first_word_is(word), _rng_whose_first_word_is(word)
+    kernel = gibbs._normals(kernel_rng, -0.0, 1.0, 3)
+    python = np.array([sample_normal(python_rng, -0.0, 1.0) for _ in range(3)])
+    assert kernel.tobytes() == python.tobytes()
+    assert kernel[0] == 0.0 and math.copysign(1.0, kernel[0]) == sign
+    assert kernel_rng.state_words() == python_rng.state_words()
 
 
 @pytest.mark.parametrize("scenario, n", ACCEPTANCE_PAIRS)
@@ -177,15 +200,51 @@ def test_kernel_draws_equal_python_draws(monkeypatch, scenario, n, kind):
     _assert_same_draws(run_chain(sample, config), _python_chain(monkeypatch, sample, config))
 
 
-@needs_cc
-@pytest.mark.parametrize("c0", [0.1, 0.05])
-def test_kernel_draws_equal_python_draws_on_the_boost_path(monkeypatch, c0):
-    # one row in group 1 gives its variance update shape c0 + 1/2 < 1
-    sample = GroupedSample([1.3], np.linspace(-1.0, 2.0, 9))
+def _assert_boost_chains_match(monkeypatch, sample, c0):
     prior = IndependencePrior(b0=0.0, B0=4.0, c0=c0, C0=0.5)
     for seed in range(20):
         config = ChainConfig(2_000, 500, seed, prior)
         _assert_same_draws(run_chain(sample, config), _python_chain(monkeypatch, sample, config))
+
+
+@needs_cc
+@pytest.mark.parametrize("c0", [0.1, 0.05])
+def test_kernel_draws_equal_python_draws_on_the_boost_path(monkeypatch, c0):
+    # one row in group 1 gives its variance update shape c0 + 1/2 < 1
+    _assert_boost_chains_match(monkeypatch, GroupedSample([1.3], np.linspace(-1.0, 2.0, 9)), c0)
+
+
+@needs_cc
+@pytest.mark.parametrize("c0", [0.1, 0.05])
+@pytest.mark.parametrize(
+    "group1, group2", [([1.3], [0.4]), (np.linspace(-1.0, 2.0, 9), [0.4])], ids=["both-groups", "group-2"]
+)
+def test_kernel_keeps_each_groups_gamma_constants_on_the_boost_path(monkeypatch, group1, group2, c0):
+    # the kernel computes each group's gamma constants once per chain; here both groups
+    # boost, or group 2 alone
+    _assert_boost_chains_match(monkeypatch, GroupedSample(group1, group2), c0)
+
+
+@needs_cc
+def test_kernel_draws_do_not_depend_on_the_optimizer(tmp_path, monkeypatch):
+    # the kernel at -O0, where nothing is inlined or hoisted, against the default build
+    library = tmp_path / "kernel-O0.so"
+    flags = ["-O0" if flag == "-O2" else flag for flag in gibbs._KERNEL_FLAGS]
+    subprocess.run([shutil.which("cc"), *flags, "-o", str(library), str(gibbs._KERNEL_SOURCE), "-lm"],
+                   check=True)
+    default, unoptimized = gibbs._loaded_kernel(), gibbs._bind_kernel(library)
+    assert default is not None
+
+    def draws(kernel, scenario, n):
+        monkeypatch.setattr(gibbs, "_kernel", kernel)
+        sample, chain_seed = _acceptance_dataset(scenario, n)
+        chain = run_chain(sample, ChainConfig(10_000, 5_000, chain_seed, realize_preset(PriorPreset("wide"), sample)))
+        rng = RngState(chain_seed)
+        data = gibbs._normals(rng, -0.0, 2.0, 20_000)
+        return [getattr(chain, f).tobytes() for f in FIELDS], data.tobytes(), rng.state_words()
+
+    for scenario, n in ACCEPTANCE_PAIRS:
+        assert draws(unoptimized, scenario, n) == draws(default, scenario, n), scenario
 
 
 @pytest.mark.parametrize("scenario, n", ACCEPTANCE_PAIRS)
