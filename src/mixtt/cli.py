@@ -186,10 +186,15 @@ def cmd_sensitivity(args: argparse.Namespace) -> None:
 _COMMANDS = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sensitivity": cmd_sensitivity}
 # the file flags and their argparse dests; a command without one of them reads it as None
 _PATH_FLAGS = (("--input", "input"), ("--output", "output"), ("--plot-data", "plot_data"))
+# main's parser, built on its first call: parsing leaves no state in it, and help reads the terminal width when printed
+_parser = None
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         # the checks every command shares, before any command reads or draws
         _check_distinct_paths(*((flag, getattr(args, dest, None)) for flag, dest in _PATH_FLAGS))

@@ -54,6 +54,8 @@ checked where it is used, by :func:`mu_conditional_params`.
 A chain is strictly sequential. Run concurrent chains through
 :func:`map_chains`, each on an independently derived seed
 (:func:`mixtt.distributions.derive_seed`), never by sharing one RngState.
+On the kernel path it runs one share of the chains per usable CPU, the
+caller's included.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ _SCAN_LABELS = 4
 _UNLOADED = object()
 # the compiled library, with run_chain, normals and scan_block bound; None where it cannot be built or loaded
 _kernel = _UNLOADED
-# the process-wide worker pool of map_chains, started on first use; _lock guards both lazy starts
+# the process-wide pool of map_chains' shares besides the caller's, started on first use; _lock guards both lazy starts
 _pool = None
 _lock = threading.Lock()
 
@@ -312,11 +314,15 @@ def _loaded_kernel():
 
 
 def map_chains(fn, items) -> list:
-    """``[fn(x) for x in items]``, on one thread per usable CPU where the kernel runs the chains.
+    """``[fn(x) for x in items]``, run as one share per usable CPU, the caller's included.
 
     The kernel releases the interpreter lock for a whole chain or data draw;
     the Python sweep does not, so there, and with one item or one usable CPU,
-    the items run serially. The first item in order to raise raises here.
+    the items run serially. Otherwise the caller runs one share and a
+    process-wide pool of ``cpus - 1`` threads, sized on first use, runs the
+    rest; each share takes the next index from one shared iterator until an
+    item raises. The call ends only once every share has, and raises the
+    exception of the lowest-index item that raised, as the serial loop would.
     ``fn`` must not call map_chains.
     """
     global _pool
@@ -327,8 +333,29 @@ def map_chains(fn, items) -> list:
     with _lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor  # kept out of import time: analyze never needs it
-            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="mixtt-chain")
-    return list(_pool.map(fn, items))
+            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="mixtt-chain")
+    results = [None] * len(items)
+    failures = {}  # item index -> the exception it raised
+    indices = iter(range(len(items)))  # next() on a range iterator is atomic under the GIL
+
+    def share() -> None:
+        for i in indices:
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised below, once every share has finished
+                failures[i] = exc
+            if failures:  # checked before the next index is taken: every index taken runs, so every lower one did
+                return
+
+    shares = [_pool.submit(share) for _ in range(min(cpus, len(items)) - 1)]
+    try:
+        share()
+    finally:
+        for pooled in shares:
+            pooled.result()  # share() records every exception of fn, so this only waits
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _normals(rng: RngState, mean: float, variance: float, n: int) -> np.ndarray:

@@ -140,8 +140,9 @@ def run_study(config: StudyConfig) -> tuple[DatasetRecord, ...]:
     Returns one record per dataset, in index order. Dataset i derives its
     seed from (master_seed, i): one child stream for data generation and
     one for the chain, so the records do not depend on execution order:
-    :func:`~mixtt.gibbs.map_chains` runs them on one thread per usable CPU
-    where the compiled kernel runs, and serially without it.
+    :func:`~mixtt.gibbs.map_chains` runs them in one share per usable CPU,
+    the caller's included, where the compiled kernel runs, and serially
+    without it.
     """
     def run_dataset(i: int) -> DatasetRecord:
         dataset_seed = derive_seed(config.master_seed, i)

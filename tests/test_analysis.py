@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from _oracles import density_bandwidth, density_grid_broadcast, shortest_covering_interval
 
+from mixtt import gibbs
 from mixtt.analysis import (
     DECISION_ACCEPTED,
     DECISION_INDETERMINATE,
     DECISION_REJECTED,
+    DIRECTIONS,
     ERROR_NONE,
     ERROR_TYPE_I,
     ERROR_TYPE_II,
     HpdInterval,
+    PosteriorSummary,
     alpha_decision,
     classify_error,
     cohen_partition,
@@ -374,3 +377,47 @@ def test_summarize_rejects_a_chain_with_draws_past_the_largest_float():
     with pytest.raises(ValueError, match=r"^the chain drew values beyond the largest float, 471 in 2000 kept sweeps; "
                                          r"no finite report exists for this prior and data$"):
         summarize(chain, "g2-g1", 0.95)
+
+
+def _summary_bits(summary):
+    hpd = summary.hpd
+    return (summary.delta_mpe.hex(), hpd.level, hpd.lower.hex(), hpd.upper.hex(),
+            summary.pmp_label, summary.pmp_value.hex())
+
+
+def _assert_summarize_is_the_separate_summaries(chain, direction):
+    draws = effect_size_series(chain, direction)
+    for alpha in (0.5, 0.95, 1.0):
+        separate = PosteriorSummary(delta_mpe(draws), hpd_interval(draws, alpha), *pmp(draws, cohen_partition()))
+        assert _summary_bits(summarize(chain, direction, alpha)) == _summary_bits(separate)
+
+
+def test_summarize_equals_the_separate_summaries_on_kernel_chains():
+    # summarize sorts once; its fields must be delta_mpe's, hpd_interval's and pmp's to the bit
+    if gibbs._loaded_kernel() is None:
+        pytest.skip("200 chains of up to 5,000 kept sweeps need the compiled kernel")
+    pairs = (("null", 300), ("large", 200), ("medium", 100), ("small", 700))
+    kept_counts = (2, 3, 4, 5, 8, 51, 500, 1999, 4000, 5000)
+    for i in range(200):
+        kind, n = pairs[i % len(pairs)]
+        sample = generate_dataset(Scenario.named(kind), n, RngState(1000 + i))
+        prior = realize_preset(PriorPreset("wide"), sample)
+        kept = kept_counts[i % len(kept_counts)]
+        chain = run_chain(sample, ChainConfig(kept + 100, 100, i, prior))
+        _assert_summarize_is_the_separate_summaries(chain, ("g2-g1", "g1-g2")[i // len(pairs) % 2])
+
+
+def test_summarize_equals_the_separate_summaries_on_draws_at_the_cell_bounds():
+    # unit variances and equal groups make the pooled sd exactly 1, so each draw is exactly mu2 - mu1:
+    # tied draws on the bounds +-0.2, +-0.5 and +-0.8, and means that land on a bound
+    bounds = (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)
+    rng = np.random.default_rng(5)
+    draw_sets = [[b] * m for b in bounds for m in (2, 3, 7)]
+    draw_sets += [np.repeat(bounds, k) for k in (1, 2, 5)]
+    draw_sets += [[0.0, 0.4], [-0.4, 0.0], [-0.2, 0.2, 0.2], [0.5, 0.5, 0.8, 0.2]]
+    draw_sets += [rng.choice((*bounds, 0.0), size) for size in (2, 3, 4, 9, 10, 100, 1001) for _ in range(5)]
+    for draws in draw_sets:
+        m = len(draws)
+        for direction in DIRECTIONS:
+            _assert_summarize_is_the_separate_summaries(chain_of(np.zeros(m), draws, np.ones(m), np.ones(m), 5, 5),
+                                                        direction)

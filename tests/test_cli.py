@@ -500,6 +500,62 @@ def test_simulate_rejects_unknown_scenario(tmp_path):
                 "--seed", 1, "--output", tmp_path / "x.json")
 
 
+def _exit_status(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("interruption, status", [
+    (["simulate", "--scenario", "galactic", "--n", "10", "--datasets", "2", "--seed", "1"], 2),  # argparse's
+    (["simulate", "--scenario", "large", "--n", "10", "--datasets", "2", "--seed", "1",
+      "--iters", "100", "--burnin", "100"], 2),  # a ValueError that main reports
+    (["analyze", "--help"], 0),
+], ids=["usage-error", "value-error", "help"])
+def test_main_reuses_its_parser_and_writes_its_first_calls_bytes_after(data_csv, tmp_path, monkeypatch, capsys,
+                                                                      interruption, status):
+    monkeypatch.setattr(cli, "_parser", None)  # so the first call below builds it
+    chain = ["--iters", "600", "--burnin", "100", "--seed", "4"]
+    calls = {
+        "analyze.json": ["analyze", "--input", str(data_csv), *chain, "--plot-data", str(tmp_path / "plot.csv")],
+        "study.json": ["simulate", "--scenario", "large", "--n", "20", "--datasets", "3", *chain, "--alpha", "0.9"],
+    }
+
+    def run():
+        files = {}
+        for name, argv in calls.items():
+            assert main([*argv, "--output", str(tmp_path / name)]) == 0
+            files[name] = (tmp_path / name).read_bytes()
+        files["plot.csv"] = (tmp_path / "plot.csv").read_bytes()
+        return files
+
+    first = run()
+    parser = cli._parser
+    texts = []
+    for _ in range(2):
+        assert _exit_status([*interruption, "--output", str(tmp_path / "other.json")]) == status
+        texts.append(capsys.readouterr())
+    assert texts[0] == texts[1] and (texts[0].out or texts[0].err)
+    assert run() == first and cli._parser is parser
+
+
+@pytest.mark.parametrize("command", [[], ["simulate"]])
+def test_help_follows_the_terminal_width_at_the_time_of_the_call(monkeypatch, capsys, command):
+    # argparse's formatter reads the width when the help is printed, not when the parser is built
+    monkeypatch.setattr(cli, "_parser", None)
+    texts = {}
+    for columns in (200, 44, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        assert _exit_status([*command, "--help"]) == 0
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([*command, "--help"])
+        assert text == capsys.readouterr().out  # what a parser built at this width prints
+        assert texts.setdefault(columns, text) == text
+    assert len(texts[44].splitlines()) > len(texts[200].splitlines())  # the narrow help wraps more
+
+
 def test_sensitivity_command(data_csv, tmp_path):
     out = tmp_path / "sens.json"
     rc = run_cli("sensitivity", "--input", data_csv, "--seed", 4, "--iters", 1500,

@@ -1,14 +1,16 @@
 """``gibbs.map_chains``: studies and sensitivity runs give the same results on any number of threads.
 
-With the compiled kernel and two or more usable CPUs, map_chains runs its
-items on a process-wide thread pool; with one usable CPU, one item or the
-Python path it runs them serially. One CPU is forced by patching
+With the compiled kernel and two or more usable CPUs, map_chains runs one
+share of its items per usable CPU: the calling thread drains one, and the
+others run on a process-wide thread pool. With one usable CPU, one item or
+the Python path it runs them serially. One CPU is forced by patching
 ``os.sched_getaffinity``, which map_chains reads on every call.
 """
 
 import os
 import shutil
 import signal
+import sys
 import threading
 import time
 
@@ -89,6 +91,76 @@ def test_map_chains_keeps_item_order_and_raises_the_first_failing_item(monkeypat
     assert gibbs.map_chains(lambda x: x * x, range(8)) == [x * x for x in range(8)]
     with pytest.raises(ValueError, match="item 2"):
         gibbs.map_chains(fn, range(8))
+
+
+def _pooled(chain_path, cpus):
+    """Whether map_chains runs shares on the pool here, rather than serially."""
+    return chain_path == "kernel" and cpus == "all" and CPUS >= 2 and gibbs._loaded_kernel() is not None
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+def test_map_chains_runs_each_item_once_on_one_thread_per_cpu_the_callers_included(monkeypatch, chain_path, cpus):
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    runs, threads = [], set()
+
+    def fn(x):
+        runs.append(x)
+        threads.add(threading.get_ident())
+        time.sleep(0.002)  # releases the interpreter lock, as a kernel chain does, so every share takes items
+        return x * x
+
+    assert gibbs.map_chains(fn, range(40)) == [x * x for x in range(40)]
+    assert sorted(runs) == list(range(40))
+    assert threading.get_ident() in threads
+    assert (2 if _pooled(chain_path, cpus) else 1) <= len(threads) <= (CPUS if cpus == "all" else 1)
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+def test_map_chains_returns_only_after_every_share_when_an_item_of_the_callers_share_raises(
+        monkeypatch, chain_path, cpus):
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    pooled = _pooled(chain_path, cpus)
+    caller = threading.get_ident()
+    running, pool_item_started = [], threading.Event()
+
+    def fn(x):
+        running.append(x)
+        try:
+            if threading.get_ident() == caller:
+                if pooled:  # a pool share has an item under way when the caller's item raises
+                    assert pool_item_started.wait(timeout=10)
+                raise ValueError(f"item {x} on the calling thread")
+            pool_item_started.set()
+            time.sleep(0.1)
+            return x
+        finally:
+            running.remove(x)
+
+    with pytest.raises(ValueError, match="on the calling thread"):
+        gibbs.map_chains(fn, range(8))
+    assert running == []
+
+
+def test_map_chains_on_more_shares_than_cores_runs_each_item_once(monkeypatch):
+    # eight usable CPUs on however many cores there are: seven pool threads and the caller take indices
+    # from one iterator, and a switch interval of a microsecond makes them interleave between bytecodes
+    if gibbs._loaded_kernel() is None:
+        pytest.skip("map_chains runs serially without the compiled kernel")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(gibbs, "_pool", None)  # a fresh pool of seven threads, shut down below
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            runs = []
+            assert gibbs.map_chains(lambda x: runs.append(x) or -x, range(300)) == [-x for x in range(300)]
+            assert sorted(runs) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
+        if gibbs._pool is not None:
+            gibbs._pool.shutdown()
 
 
 def test_two_threads_starting_together_load_the_kernel_once(monkeypatch):
